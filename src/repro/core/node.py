@@ -91,7 +91,7 @@ class RobotNode:
         """:meth:`localization_error` with the true position supplied.
 
         The team's bulk metric sampler computes every node's true
-        position in one vectorized pass (the ``soa_state`` kernel) and
+        position in one vectorized pass (:mod:`repro.sim.world`) and
         hands the coordinates in.  Requires an estimator — the sampler
         only measures estimator nodes.  ``math.hypot`` here is exactly
         what ``Vec2.distance_to`` computes, so the value is bit-identical

@@ -151,14 +151,14 @@ class CoCoATeam:
             never changes simulation behaviour, so it must not change
             cache fingerprints either.
         kernels: optional :class:`~repro.kernels.KernelConfig` selecting
-            the hot-path kernels (batched delivery, LUT densities,
-            constraint-field cache).  Defaults through
+            the hot-path kernels (LUT densities, constraint-field
+            cache).  Defaults through
             :func:`~repro.kernels.default_kernels` (process override,
             then the ``REPRO_KERNELS`` environment variable, then
             everything on).  Like telemetry, kernels are not part of the
-            config: the batched/cache kernels are bit-identical and the
-            LUT stays within figure tolerance, so they must not change
-            cache fingerprints.
+            config: the cache is bit-identical and the LUT stays within
+            figure tolerance, so they must not change cache
+            fingerprints.
     """
 
     def __init__(
@@ -173,23 +173,12 @@ class CoCoATeam:
         self.telemetry = telemetry
         self.kernels = resolve_kernels(kernels)
         self.streams = RandomStreams(config.master_seed)
-        # One-second wheel slots: every recurring protocol timer (beacon
-        # periods, MAC backoff, multicast refresh, metric sampling) lands
-        # within a few slots of the clock.
-        self.sim = Simulator(
-            wheel_slot_s=1.0 if self.kernels.time_wheel else None
-        )
+        self.sim = Simulator()
         self.channel = BroadcastChannel(
-            self.sim,
-            config.path_loss,
-            self.streams.get("phy"),
-            batched=self.kernels.batched_delivery,
-            coalesced=self.kernels.coalesced_delivery,
+            self.sim, config.path_loss, self.streams.get("phy")
         )
-        self.world: Optional[WorldState] = None
-        if self.kernels.soa_state:
-            self.world = WorldState(config.n_robots)
-            self.channel.attach_world(self.world)
+        self.world = WorldState(config.n_robots)
+        self.channel.attach_world(self.world)
         plan = faults if faults is not None else config.faults
         self.fault_plan = plan
         self.faults: Optional[FaultInjector] = None
@@ -248,7 +237,6 @@ class CoCoATeam:
                 v_min=config.v_min,
                 v_max=config.v_max,
                 rest_time_max=config.rest_time_max_s,
-                memoize=self.kernels.pose_memo,
             )
             interface = NetworkInterface(
                 self.sim,
@@ -259,9 +247,8 @@ class CoCoATeam:
                 self.streams.spawn("mac", node_id),
                 receiver=config.receiver,
             )
-            if self.world is not None:
-                mobility.bind_world(self.world, node_id)
-                interface.radio.bind_world(self.world, node_id)
+            mobility.bind_world(self.world, node_id)
+            interface.radio.bind_world(self.world, node_id)
             clock = DriftingClock.random(
                 self.streams.spawn("clock", node_id), config.clock_drift_rate
             )
@@ -540,30 +527,24 @@ class CoCoATeam:
         return [n for n in self.nodes if n.estimator is not None]
 
     def _sample_metrics(self, _count: int) -> None:
+        # Advance every estimator first, then evaluate all true positions
+        # in one vectorized pass over the world.  A trajectory's leg draws
+        # by time ``t`` do not depend on who queries it first, so the split
+        # is invisible to the results.
         t = self.sim.now
-        row = []
-        world = self.world
-        if world is not None:
-            # Bulk path (soa_state kernel): advance every estimator
-            # first — exactly the per-node draws the interleaved scalar
-            # loop makes, in the same per-node order — then evaluate all
-            # true positions in one vectorized pass.
-            measured = self._measured_nodes()
-            for node in measured:
-                node.estimator.advance_to(t)
-            xs, ys = world.positions_at(t)
-            for node in measured:
-                row.append(
-                    node.localization_error_from(
-                        xs[node.node_id], ys[node.node_id]
-                    )
-                )
-        else:
-            for node in self._measured_nodes():
-                node.estimator.advance_to(t)
-                row.append(node.localization_error(t))
+        measured = self._measured_nodes()
+        for node in measured:
+            node.estimator.advance_to(t)
+        xs, ys = self.world.positions_at(t)
         self._sample_times.append(t)
-        self._sample_errors.append(row)
+        self._sample_errors.append(
+            [
+                node.localization_error_from(
+                    xs[node.node_id], ys[node.node_id]
+                )
+                for node in measured
+            ]
+        )
 
     def run(self) -> TeamResult:
         """Execute the scenario and collect the results."""

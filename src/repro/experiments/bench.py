@@ -7,16 +7,16 @@ off, and additionally times each kernel's own inner loop in isolation.
 The two layers answer different questions:
 
 - **End to end** — what a user of ``run_scenario`` actually gains.  The
-  event-driven protocol machinery (radio state billing, MAC timers,
-  per-delivery dispatch) runs identically under both kernel settings and
-  bounds this ratio well below the per-loop gains.
+  kernels-off variant turns off the two science kernels of
+  :class:`~repro.kernels.KernelConfig` (LUT densities and the
+  constraint-field cache); the event-driven protocol machinery (radio
+  state billing, MAC timers, frame delivery) has one implementation, runs
+  identically under both settings and bounds this ratio well below the
+  per-loop gains.
 - **Components** — what each kernel does to the loop it replaces
   (batched RSSI sampling vs. the scalar draw loop, LUT density lookup
-  vs. exact evaluation, cached constraint fields vs. recomputation,
-  the slotted time wheel vs. the binary heap on a pure event-loop
-  workload, and coalesced frame delivery vs. per-frame events as a
-  full-scenario ablation).  This is where the ≥3× hot-path target is
-  measured.
+  vs. exact evaluation, cached constraint fields vs. recomputation).
+  This is where the ≥3× hot-path target is measured.
 
 ``--profile`` additionally cProfiles one end-to-end run per kernel
 variant and writes the cumtime-sorted tables next to the JSON, so the
@@ -37,7 +37,6 @@ import json
 import math
 import pstats
 import time
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -50,7 +49,6 @@ from repro.experiments.presets import fig7_config
 from repro.experiments.runner import SharedCalibration
 from repro.kernels import KERNELS_OFF, KERNELS_ON, KernelConfig
 from repro.orchestrator.jobs import config_digest
-from repro.sim.engine import Simulator
 from repro.util.geometry import Vec2
 
 __all__ = ["pinned_config", "profile_path_for", "run_hotpath_bench"]
@@ -290,89 +288,6 @@ def _bench_constraint_field(
     }
 
 
-def _bench_event_loop(
-    timers: int, sim_seconds: float, timing_repeats: int
-) -> Dict[str, float]:
-    """Slotted time wheel vs. binary heap on a pure event-loop workload.
-
-    The synthetic population mirrors the simulator's own timer mix: many
-    periodic timers with staggered sub-slot periods, each fire also
-    rescheduling a short one-shot and cancelling the previous one — the
-    schedule/cancel churn the radio busy-window events generate.  No
-    science runs here; this isolates the queue data structure itself.
-
-    Honest expectation: with heap entries already flattened to C-compared
-    ``(time, seq, event)`` tuples, heapq is hard to beat and this row
-    hovers near 1x at Fig.-7 populations — the end-to-end win comes from
-    the *coalesced delivery* kernel removing events outright (see the
-    ``delivery`` row).  The wheel's value is the scale-out regime and
-    its strictly-O(1) insert for slot-local timers.
-    """
-
-    def make(run_slot: Optional[float]) -> Callable[[], None]:
-        def run() -> None:
-            sim = Simulator(wheel_slot_s=run_slot)
-            handles: List[object] = [None] * timers
-
-            def noop() -> None:
-                pass
-
-            def periodic(i: int, period: float) -> None:
-                handle = handles[i]
-                if handle is not None:
-                    handle.cancel()
-                handles[i] = sim.schedule(0.5, noop)
-                if sim.now + period <= sim_seconds:
-                    sim.schedule(period, periodic, i, period)
-
-            for i in range(timers):
-                period = 0.25 + (i % 40) * 0.05
-                sim.schedule(period, periodic, i, period)
-            sim.run(until=sim_seconds)
-
-        return run
-
-    heap_s = _best_of(make(None), timing_repeats)
-    wheel_s = _best_of(make(1.0), timing_repeats)
-    return {
-        "heap_s": round(heap_s, 6),
-        "wheel_s": round(wheel_s, 6),
-        "speedup": round(heap_s / wheel_s, 2),
-    }
-
-
-def _bench_delivery(
-    config: CoCoAConfig,
-    calibration: SharedCalibration,
-    timing_repeats: int,
-) -> Dict[str, float]:
-    """Coalesced frame delivery vs. per-frame events, everything else on.
-
-    An ablation of the pinned scenario: both variants run the full team
-    with every other kernel enabled, so the difference is exactly the
-    merged delivery event plus the unmanaged (event-free) RX windows.
-    """
-    per_frame_kernels = replace(KERNELS_ON, coalesced_delivery=False)
-    per_frame_walls: List[float] = []
-    coalesced_walls: List[float] = []
-    for _ in range(timing_repeats):
-        # Interleaved, and timed inside _time_one_run so team
-        # construction stays outside the measurement.
-        per_frame_walls.append(
-            _time_one_run(config, per_frame_kernels, calibration)[0]
-        )
-        coalesced_walls.append(
-            _time_one_run(config, KERNELS_ON, calibration)[0]
-        )
-    per_frame_s = min(per_frame_walls)
-    coalesced_s = min(coalesced_walls)
-    return {
-        "per_frame_s": round(per_frame_s, 6),
-        "coalesced_s": round(coalesced_s, 6),
-        "speedup": round(per_frame_s / coalesced_s, 2),
-    }
-
-
 def _profile_variant(
     config: CoCoAConfig,
     kernels: KernelConfig,
@@ -437,8 +352,6 @@ def run_hotpath_bench(
     evals = 100 if quick else 400
     rounds = 4 if quick else 12
     timing_repeats = 3 if quick else 5
-    loop_timers = 150
-    loop_seconds = 100.0 if quick else 400.0
 
     config = pinned_config(seed=seed, duration_s=duration)
     calibration = SharedCalibration()
@@ -458,10 +371,6 @@ def run_hotpath_bench(
         "constraint_field": _bench_constraint_field(
             config, calibration, rounds, timing_repeats, lut_entries
         ),
-        "event_loop": _bench_event_loop(
-            loop_timers, loop_seconds, timing_repeats
-        ),
-        "delivery": _bench_delivery(config, calibration, 2 if quick else 3),
     }
     hotpath_speedup = round(
         math.exp(

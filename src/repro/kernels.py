@@ -1,24 +1,23 @@
-"""Hot-path kernel switches: batched delivery, LUT densities, field cache.
+"""Hot-path kernel switches: LUT densities and the constraint-field cache.
 
-The simulator's wall-clock is dominated by three inner loops — offering a
-frame to every receiver, evaluating a distance density over every grid
-cell, and recomputing identical constraint fields for every robot that
-heard the same beacon.  Each loop has a *kernel*: a vectorized/cached
-implementation that produces the same results as the straightforward one.
+Two science kernels are worth a switch, because they are where the
+Bayes update spends its time and each changes *how* a result is computed:
 
-:class:`KernelConfig` selects which kernels a run uses.  The contract per
-kernel:
-
-- ``batched_delivery`` (:meth:`~repro.net.channel.BroadcastChannel`),
-  ``constraint_cache`` (:class:`~repro.core.constraint_cache.ConstraintFieldCache`),
-  ``pose_memo``, and the engine-core kernels ``time_wheel``,
-  ``coalesced_delivery``, and ``soa_state`` are **bit-identical** to the
-  scalar paths: same RNG stream consumption, same float operations,
-  byte-equal results.  The regression suite enforces this.
 - ``lut_pdf`` (:class:`~repro.core.pdf_table.PdfTable`) quantizes the
   distance axis, so it is *tolerance-identical*: per-figure metrics stay
   within 0.1 % relative of the exact path (pinned by a test).  Runs that
   need byte-equality against historical results disable it.
+- ``constraint_cache``
+  (:class:`~repro.core.constraint_cache.ConstraintFieldCache`) shares
+  per-beacon constraint fields between robots with identical grids.  It
+  is **bit-identical** to recomputing them: same float operations,
+  byte-equal results.
+
+Everything else on the hot path (the event queue, coalesced frame
+delivery, the structure-of-arrays world state) has one implementation and
+no switch.  Pinned golden digests of the science payload
+(``tests/data/golden_digests.json``) prove the byte-exact selections
+against historical results.
 
 The kernel selection deliberately lives **outside**
 :class:`~repro.core.config.CoCoAConfig`: like telemetry, kernels never
@@ -33,9 +32,10 @@ fingerprints.  Resolution order for a run's kernels:
    children inherit the environment,
 4. :data:`KERNELS_ON` (the default: everything enabled).
 
-``bitexact`` selects :data:`KERNELS_BITEXACT` — every bit-identical
-kernel on, the tolerance-identical LUT off — for runs that want the
-speed but must stay byte-equal to the reference paths.
+``off`` selects :data:`KERNELS_OFF` (LUT and cache off); ``bitexact``
+selects :data:`KERNELS_BITEXACT` — the bit-identical cache on, the
+tolerance-identical LUT off — for runs that want the speed but must stay
+byte-equal to the exact path.
 """
 
 from __future__ import annotations
@@ -68,8 +68,6 @@ class KernelConfig:
     """Which hot-path kernels a run uses.
 
     Attributes:
-        batched_delivery: vectorize per-frame receiver delivery in
-            :class:`~repro.net.channel.BroadcastChannel` (bit-identical).
         lut_pdf: evaluate RSSI-bin densities through a precomputed
             distance lookup table (tolerance-identical; < 0.1 % on
             figure metrics).
@@ -78,39 +76,12 @@ class KernelConfig:
             robots with identical grids (bit-identical).
         cache_capacity: LRU capacity, in constraint fields, of the
             shared cache.
-        pose_memo: memoize each robot's last computed pose, so the
-            several subsystems that query the same robot at the same
-            instant within one event reuse it (bit-identical: a pose is
-            a pure function of the query time once the trajectory legs
-            are drawn, and repeat same-time queries draw no randomness).
-        time_wheel: back the event queue with the slotted time wheel in
-            :class:`~repro.sim.engine.Simulator` instead of a single
-            binary heap (bit-identical: pops merge the active slot and
-            the heap by the exact ``(time, seq)`` key, so the firing
-            sequence is unchanged — a property test pins this).
-        coalesced_delivery: end all receptions of a frame inside the
-            frame's own delivery event instead of scheduling one rx-end
-            event per receiver (bit-identical: radios leave RX at the
-            same instants in the same order, with the same energy
-            billing, but ~80 % of the engine's events disappear).
-        soa_state: mirror node kinematics and radio power state into
-            shared structure-of-arrays blocks
-            (:class:`~repro.sim.world.WorldState`) so the channel and
-            the metric sampler evaluate whole-team positions in one
-            vectorized pass (bit-identical: elementwise float64 leg
-            interpolation matches the scalar arithmetic bit for bit,
-            and distances stay scalar ``math.hypot``).
     """
 
-    batched_delivery: bool = True
     lut_pdf: bool = True
     lut_entries: int = 16384
     constraint_cache: bool = True
     cache_capacity: int = 128
-    pose_memo: bool = True
-    time_wheel: bool = True
-    coalesced_delivery: bool = True
-    soa_state: bool = True
 
     def __post_init__(self) -> None:
         if self.lut_entries < 2:
@@ -122,34 +93,12 @@ class KernelConfig:
                 "cache_capacity must be >= 1, got %r" % self.cache_capacity
             )
 
-    @property
-    def any_enabled(self) -> bool:
-        """True if at least one kernel is switched on."""
-        return (
-            self.batched_delivery
-            or self.lut_pdf
-            or self.constraint_cache
-            or self.pose_memo
-            or self.time_wheel
-            or self.coalesced_delivery
-            or self.soa_state
-        )
-
 
 #: Every kernel enabled — the default for new runs.
 KERNELS_ON = KernelConfig()
-#: Every kernel disabled — the scalar reference paths, byte-equal to the
-#: pre-kernel implementation.
-KERNELS_OFF = KernelConfig(
-    batched_delivery=False,
-    lut_pdf=False,
-    constraint_cache=False,
-    pose_memo=False,
-    time_wheel=False,
-    coalesced_delivery=False,
-    soa_state=False,
-)
-#: Every bit-identical kernel on, the tolerance-identical LUT off: runs
+#: Every kernel disabled: exact densities, no constraint-field sharing.
+KERNELS_OFF = KernelConfig(lut_pdf=False, constraint_cache=False)
+#: The bit-identical cache on, the tolerance-identical LUT off: runs
 #: under this selection are byte-equal to :data:`KERNELS_OFF` runs.
 KERNELS_BITEXACT = KernelConfig(lut_pdf=False)
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     ProtocolError,
     Request,
     Response,
@@ -389,8 +390,13 @@ class LocalizationServer:
             return
         self.core.start()
         config = self.core.config
+        # The stream limit is the protocol's own line limit, so a line
+        # the protocol would reject is rejected on the wire too.
         self._server = await asyncio.start_server(
-            self._handle_connection, host=config.host, port=config.port
+            self._handle_connection,
+            host=config.host,
+            port=config.port,
+            limit=MAX_LINE_BYTES,
         )
 
     async def stop(self) -> None:
@@ -447,8 +453,21 @@ class LocalizationServer:
         first = True
         while True:
             try:
-                line = await reader.readline()
-            except (ConnectionError, asyncio.IncompleteReadError):
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # EOF: a last unterminated line, or b""
+            except asyncio.LimitOverrunError as exc:
+                # Longer than MAX_LINE_BYTES: answer it like any other bad
+                # line, then resume at the next one.
+                complete = await _discard_line(reader, exc.consumed)
+                await self._reject(
+                    replies, "request line exceeds %d bytes" % MAX_LINE_BYTES
+                )
+                if not complete:
+                    return
+                first = False
+                continue
+            except ConnectionError:
                 return
             if not line:
                 return
@@ -462,15 +481,19 @@ class LocalizationServer:
             try:
                 request = parse_request(stripped)
             except ProtocolError as exc:
-                self.core.registry.counter("serve_protocol_errors").inc()
-                done = asyncio.get_running_loop().create_future()
-                done.set_result(error_response("bad_request", str(exc)))
-                await replies.put((done, None))
+                await self._reject(replies, str(exc))
                 continue
             # Bounded reply queue: when the consumer stops reading its
             # responses this put blocks, pausing the reader — TCP
             # backpressure all the way to the sender.
             await replies.put(self.core.submit_traced(request))
+
+    async def _reject(self, replies, message: str) -> None:
+        """Count a protocol error and queue its ``bad_request`` reply."""
+        self.core.registry.counter("serve_protocol_errors").inc()
+        done = asyncio.get_running_loop().create_future()
+        done.set_result(error_response("bad_request", message))
+        await replies.put((done, None))
 
     async def _write_replies(self, replies, writer) -> None:
         while True:
@@ -542,3 +565,21 @@ class LocalizationServer:
             await writer.drain()
         except ConnectionError:
             pass
+
+
+async def _discard_line(reader: asyncio.StreamReader, consumed: int) -> bool:
+    """Drop an overlong line through its newline.
+
+    ``consumed`` is the byte count a :class:`asyncio.LimitOverrunError`
+    reports as safe to drop; the line's tail may still be arriving.
+    Returns False if the connection closed before the newline.
+    """
+    while True:
+        try:
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return False

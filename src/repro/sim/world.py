@@ -13,8 +13,8 @@ any per-query object traffic:
 - :attr:`awake` / :attr:`transmitting` answer the channel's eligibility
   filter as boolean masks.
 
-Bit-exactness contract (the ``soa_state`` kernel of
-:class:`~repro.kernels.KernelConfig`):
+Bit-exactness contract (every :class:`~repro.core.team.CoCoATeam` builds a
+world, so its positions must match the per-object arithmetic exactly):
 
 - Leg interpolation uses the elementwise float64 expression
   ``start + (dest - start) * ((t - depart) / (arrive - depart))`` — the

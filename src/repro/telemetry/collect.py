@@ -155,9 +155,8 @@ def collect_team_snapshot(team, result) -> TelemetrySnapshot:
         metrics["energy_%s" % key] = float(value)
 
     # -- hot-path kernels --------------------------------------------------
-    # Only exported when the team ran with a constraint-field cache:
-    # kernels-off runs must stay byte-identical to pre-kernel results,
-    # snapshot included.
+    # Only exported when the team ran with a constraint-field cache, so
+    # a kernels-off run (LUT and cache off) snapshots no cache counters.
     cache = getattr(team, "constraint_cache", None)
     if cache is not None:
         for key, value in cache.counters().items():

@@ -29,6 +29,7 @@ from repro.serve import (
     shard_index_for,
 )
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     FixRequest,
     HelloRequest,
     ObserveRequest,
@@ -484,6 +485,56 @@ def test_tcp_bad_line_keeps_connection_usable():
         assert second.ok and second.payload["pong"]
         writer.close()
         await writer.wait_closed()
+        await server.stop()
+
+    asyncio.run(scenario())
+
+
+def test_tcp_line_limit_is_the_protocol_limit():
+    """A line of exactly MAX_LINE_BYTES is parsed; longer lines get a
+    ``bad_request`` and a counter increment, and the connection goes on
+    with the next line.  Other connections are unaffected."""
+    ping = b'{"op": "ping"}'
+    # JSON whitespace pads a valid ping to exactly the limit.
+    exact = ping[:-1] + b" " * (MAX_LINE_BYTES - len(ping)) + b"}"
+    assert len(exact) == MAX_LINE_BYTES
+    over_by_one = exact[:-1] + b" }"
+    # Far over the limit: the tail arrives after the first overrun.
+    huge = b"x" * (3 * MAX_LINE_BYTES)
+
+    async def scenario():
+        core = _small_core()
+        server = LocalizationServer(core)
+        await server.start()
+        errors = core.registry.counter("serve_protocol_errors")
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port
+        )
+        other_reader, other_writer = await asyncio.open_connection(
+            "127.0.0.1", server.port
+        )
+        writer.write(exact + b"\n" + over_by_one + b"\n" + ping + b"\n")
+        await writer.drain()
+        replies = [parse_response(await reader.readline()) for _ in range(3)]
+        assert replies[0].ok and replies[0].payload["pong"]
+        assert not replies[1].ok and replies[1].error == "bad_request"
+        assert replies[2].ok and replies[2].payload["pong"]
+        assert errors.value == 1
+
+        writer.write(huge + b"\n" + ping + b"\n")
+        await writer.drain()
+        rejected = parse_response(await reader.readline())
+        after = parse_response(await reader.readline())
+        assert not rejected.ok and rejected.error == "bad_request"
+        assert after.ok and after.payload["pong"]
+        assert errors.value == 2
+
+        other_writer.write(ping + b"\n")
+        await other_writer.drain()
+        assert parse_response(await other_reader.readline()).ok
+        for w in (writer, other_writer):
+            w.close()
+            await w.wait_closed()
         await server.stop()
 
     asyncio.run(scenario())

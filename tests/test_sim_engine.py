@@ -204,14 +204,6 @@ class TestScheduleTimeGuards:
             sim.schedule(bad, lambda: None)
         assert sim.pending_count == 0
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_wheel_backend_rejects_non_finite_too(self, bad):
-        sim = Simulator(wheel_slot_s=1.0)
-        with pytest.raises(SimulationError):
-            sim.schedule_at(bad, lambda: None)
-        assert sim.pending_count == 0
-
-
 class TestPendingCountLiveCounter:
     """pending_count is a live O(1) counter, exact under cancel/fire/clear."""
 
@@ -260,19 +252,6 @@ class TestPendingCountLiveCounter:
         sim.schedule(3.0, lambda: None)
         assert sim.pending_count == 1
 
-    def test_counter_matches_on_wheel_backend(self):
-        sim = Simulator(wheel_slot_s=1.0)
-        events = [sim.schedule(float(i), lambda: None) for i in range(5)]
-        # One far beyond the wheel horizon (lands in the fallback heap).
-        far = sim.schedule(10_000.0, lambda: None)
-        assert sim.pending_count == 6
-        events[3].cancel()
-        far.cancel()
-        assert sim.pending_count == 4
-        sim.run()
-        assert sim.pending_count == 0
-
-
 class TestStepAndClearCounters:
     def test_step_across_cancelled_runs(self):
         """step() must discard arbitrarily long cancelled runs lazily."""
@@ -306,99 +285,3 @@ class TestStepAndClearCounters:
         sim.schedule(1.0, lambda: None)
         sim.clear()
         assert sim.events_processed == 1
-
-    def test_clear_on_wheel_drops_buckets_and_far_heap(self):
-        sim = Simulator(wheel_slot_s=1.0)
-        near = sim.schedule(0.5, lambda: None)
-        later = sim.schedule(50.0, lambda: None)
-        far = sim.schedule(10_000.0, lambda: None)
-        sim.clear()
-        assert sim.pending_count == 0
-        assert near.cancelled and later.cancelled and far.cancelled
-        sim.run()
-        assert sim.events_processed == 0
-
-
-class TestWheelHeapEquivalence:
-    """The time wheel must fire the identical (time, seq) sequence the
-    heap fires, under randomized mixes of periodic timers, aperiodic
-    one-shots (including far-future ones beyond the wheel horizon),
-    same-timestamp ties, mid-callback scheduling, and cancellations."""
-
-    @staticmethod
-    def _scenario(seed):
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        oneshots = [
-            (float(rng.uniform(0.0, 400.0)), "one-%d" % i)
-            for i in range(int(rng.integers(5, 25)))
-        ]
-        # A clump of exact ties exercises FIFO ordering inside one slot.
-        tie_time = float(rng.uniform(0.0, 50.0))
-        oneshots += [(tie_time, "tie-%d" % i) for i in range(3)]
-        periodics = [
-            (
-                float(rng.uniform(0.0, 10.0)),       # start delay
-                float(rng.uniform(0.05, 7.0)),       # period
-                int(rng.integers(3, 40)),            # fires
-                "per-%d" % i,
-            )
-            for i in range(int(rng.integers(2, 6)))
-        ]
-        # chains: when `src` fires, schedule a follow-up `delta` later
-        # (tests inserts into the active slot and into future buckets).
-        chains = {
-            "one-%d" % int(rng.integers(0, 5)): float(rng.uniform(0.0, 30.0))
-            for _ in range(3)
-        }
-        # cancels: when `src` fires, cancel the handle of `victim`.
-        cancels = {
-            "per-0": "one-0",
-            "one-1": "per-1",
-        }
-        return oneshots, periodics, chains, cancels
-
-    @classmethod
-    def _run(cls, seed, wheel_slot_s):
-        oneshots, periodics, chains, cancels = cls._scenario(seed)
-        sim = Simulator(wheel_slot_s=wheel_slot_s)
-        log = []
-        handles = {}
-
-        def fire(tag):
-            log.append((sim.now, tag))
-            delta = chains.get(tag)
-            if delta is not None:
-                sub = "%s+sub" % tag
-                handles[sub] = sim.schedule(delta, fire, sub)
-            victim = cancels.get(tag)
-            if victim is not None:
-                handle = handles.get(victim)
-                if handle is not None:
-                    handle.cancel()
-
-        def periodic(tag, period, remaining):
-            log.append((sim.now, tag))
-            if remaining > 1:
-                handles[tag] = sim.schedule(
-                    period, periodic, tag, period, remaining - 1
-                )
-
-        for time, tag in oneshots:
-            handles[tag] = sim.schedule_at(time, fire, tag)
-        # One event far beyond the wheel horizon (fallback-heap path).
-        handles["far"] = sim.schedule_at(9_999.0, fire, "far")
-        for delay, period, fires, tag in periodics:
-            handles[tag] = sim.schedule(delay, periodic, tag, period, fires)
-        sim.run()
-        return log, sim.events_processed, sim.pending_count
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_firing_sequence_identical(self, seed):
-        heap_log, heap_n, heap_pending = self._run(seed, None)
-        for slot in (0.25, 1.0, 7.3):
-            wheel_log, wheel_n, wheel_pending = self._run(seed, slot)
-            assert wheel_log == heap_log
-            assert wheel_n == heap_n
-            assert wheel_pending == heap_pending == 0
