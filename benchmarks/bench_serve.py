@@ -40,7 +40,9 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.analysis.stats import percentile
 from repro.serve import LocalizationServer, ServeConfig, ServeClient, ServiceCore
+from repro.telemetry.export import write_jsonl
 
 AREA_SIDE_M = 120.0
 RSSI_RANGE_DBM = (-82.0, -55.0)
@@ -195,9 +197,9 @@ async def run_bench(args: argparse.Namespace) -> Dict[str, object]:
     durable = await _run_load(args, checkpointing=True)
     traced = await _run_load(args, checkpointing=True, trace_mode="always")
     if args.trace_out is not None:
-        from repro.obs import write_trace_jsonl
-
-        write_trace_jsonl(args.trace_out, traced["trace_records"])
+        await asyncio.to_thread(
+            write_jsonl, args.trace_out, traced["trace_records"]
+        )
 
     latencies_ms = durable["latencies_ms"]
     stats = durable["stats"]
@@ -214,7 +216,6 @@ async def run_bench(args: argparse.Namespace) -> Dict[str, object]:
         trace_overhead_pct = 100.0 * (
             1.0 - traced["fixes_per_s"] / durable["fixes_per_s"]
         )
-    quantiles = np.percentile(latencies_ms, [50.0, 90.0, 99.0])
     return {
         "benchmark": "serve",
         "quick": bool(args.quick),
@@ -239,9 +240,9 @@ async def run_bench(args: argparse.Namespace) -> Dict[str, object]:
             "shed": stats.get("serve_shed_total_all", 0.0),
         },
         "fix_latency_ms": {
-            "p50": round(float(quantiles[0]), 3),
-            "p90": round(float(quantiles[1]), 3),
-            "p99": round(float(quantiles[2]), 3),
+            "p50": round(percentile(latencies_ms, 50.0), 3),
+            "p90": round(percentile(latencies_ms, 90.0), 3),
+            "p99": round(percentile(latencies_ms, 99.0), 3),
             "mean": round(float(np.mean(latencies_ms)), 3),
             "max": round(float(np.max(latencies_ms)), 3),
             "samples": len(latencies_ms),

@@ -1,4 +1,5 @@
-"""Small-sample statistics helpers (Student-t based)."""
+"""Small-sample statistics helpers: Student-t intervals and tests, and
+the one sample percentile the benchmarks and trace views report."""
 
 from __future__ import annotations
 
@@ -6,7 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,10 @@ def mean_confidence_interval(
         )
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1), got %r" % confidence)
+    # Deferred: SciPy takes about a second to import, which callers of
+    # percentile() (the serve process, `repro trace`) should not pay.
+    from scipy import stats
+
     mean = float(values.mean())
     sem = float(stats.sem(values))
     # repro: noqa[REP004] sem is exactly 0.0 only for identical samples
@@ -81,9 +85,30 @@ def welch_t_test(
         ``(t_statistic, p_value)`` — small p means the two scenarios'
         metrics genuinely differ rather than being seed noise.
     """
+    from scipy import stats
+
     a_values = np.asarray(list(a), dtype=float)
     b_values = np.asarray(list(b), dtype=float)
     if a_values.size < 2 or b_values.size < 2:
         raise ValueError("need at least 2 samples per group")
     t_stat, p_value = stats.ttest_ind(a_values, b_values, equal_var=False)
     return float(t_stat), float(p_value)
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0-100) of ``samples``, interpolating
+    linearly between the two nearest order statistics (NumPy's default
+    ``linear`` method).
+
+    Raises:
+        ValueError: on an empty sample or ``q`` outside [0, 100].
+    """
+    ordered = sorted(samples)
+    if not ordered:
+        raise ValueError("percentile of an empty sample")
+    if not 0.0 <= q <= 100.0:
+        raise ValueError("q must be in [0, 100], got %r" % q)
+    position = q / 100.0 * (len(ordered) - 1)
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)

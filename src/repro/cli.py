@@ -320,14 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="inspect a recorded trace JSONL (from serve --trace-out, "
+        help="inspect a recorded trace JSONL of sim or serve spans (a "
+             "Span.as_record dump of a team's tracer, serve --trace-out, "
              "bench_serve.py or repro chaos --trace-out)",
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     summarize = trace_sub.add_parser(
         "summarize",
         help="per-hop latency attribution table (queue wait, shard "
-             "service, estimator ingest, checkpoint)",
+             "service, estimator ingest, checkpoint; span names for a "
+             "sim trace)",
     )
     summarize.add_argument("path", help="trace JSONL file")
     slowest = trace_sub.add_parser(
@@ -338,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="how many traces to show")
     export = trace_sub.add_parser(
         "export", help="convert trace JSONL to Perfetto/Chrome "
-                       "trace_event JSON (load in ui.perfetto.dev)"
+                       "trace_event JSON (load in ui.perfetto.dev): a "
+                       "track per node for sim spans, per trace for "
+                       "serve spans"
     )
     export.add_argument("path", help="trace JSONL file")
     export.add_argument("--out", required=True,
@@ -828,7 +832,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
         if args.smoke:
             code = await _serve_smoke(server, out)
             await server.drain()
-            _export_traces(core, args, out)
+            await asyncio.to_thread(_export_traces, core, args, out)
             return code
         try:
             await server.serve_forever()
@@ -837,7 +841,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
         finally:
             # Graceful drain: shed new work, flush checkpoints, stop.
             await server.drain()
-            _export_traces(core, args, out)
+            await asyncio.to_thread(_export_traces, core, args, out)
         return 0
 
     try:
@@ -854,49 +858,62 @@ def _export_traces(core, args, out) -> None:
     ops_out = getattr(args, "ops_out", None)
     if trace_out is None and perfetto_out is None and ops_out is None:
         return
-    from repro.obs import write_perfetto_json, write_trace_jsonl
+    from repro.telemetry import write_jsonl, write_perfetto_json
 
-    records = core.tracer.records()
     if trace_out is not None:
-        count = write_trace_jsonl(trace_out, records)
+        count = write_jsonl(trace_out, core.tracer.records())
         print("trace: %d span%s -> %s"
               % (count, "" if count == 1 else "s", trace_out), file=out)
     if perfetto_out is not None:
-        count = write_perfetto_json(perfetto_out, records)
+        count = write_perfetto_json(perfetto_out, core.tracer.buffer)
         print("trace: %d event%s -> %s (Perfetto)"
               % (count, "" if count == 1 else "s", perfetto_out),
               file=out)
     if ops_out is not None:
-        count = core.ops.write_jsonl(ops_out)
+        count = write_jsonl(ops_out, core.ops.records())
         print("ops: %d event%s -> %s"
               % (count, "" if count == 1 else "s", ops_out), file=out)
 
 
 def cmd_trace(args: argparse.Namespace, out) -> int:
-    from repro.obs import (
-        read_trace_jsonl,
-        render_slowest,
-        render_summary,
+    from repro.obs import render_slowest, render_summary
+    from repro.telemetry import (
+        Span,
+        SpanRecordError,
+        read_jsonl,
         write_perfetto_json,
     )
 
     try:
-        records = read_trace_jsonl(args.path)
+        records = read_jsonl(args.path)
     except OSError as exc:
         print("trace: cannot read %s: %s" % (args.path, exc), file=out)
         return 2
-    except ValueError as exc:
-        print("trace: %s is not trace JSONL: %s" % (args.path, exc),
-              file=out)
+    if records.skipped:
+        print("trace: %s is not trace JSONL: %d line%s not a JSON object"
+              % (args.path, records.skipped,
+                 " is" if records.skipped == 1 else "s are"), file=out)
         return 2
+    spans = []
+    for number, record in enumerate(records, start=1):
+        try:
+            spans.append(Span.from_record(record))
+        except SpanRecordError as exc:
+            print("trace: %s record %d: %s" % (args.path, number, exc),
+                  file=out)
+            return 2
     if args.trace_command == "summarize":
-        print(render_summary(records), file=out)
+        print(render_summary(spans), file=out)
         return 0
     if args.trace_command == "slowest":
-        print(render_slowest(records, n=args.n), file=out)
+        print(render_slowest(spans, n=args.n), file=out)
         return 0
     if args.trace_command == "export":
-        count = write_perfetto_json(args.out, records)
+        try:
+            count = write_perfetto_json(args.out, spans)
+        except OSError as exc:
+            print("trace: cannot write %s: %s" % (args.out, exc), file=out)
+            return 2
         print("wrote %d event%s to %s"
               % (count, "" if count == 1 else "s", args.out), file=out)
         return 0

@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.stats import percentile
 from repro.core.bayes import GridBayesFilter
 from repro.core.config import CoCoAConfig, LocalizationMode
 from repro.core.constraint_cache import ConstraintFieldCache
@@ -86,10 +87,6 @@ def _best_of(fn: Callable[[], None], repeats: int) -> float:
     return best
 
 
-def _percentile(values: List[float], q: float) -> float:
-    return float(np.percentile(np.asarray(values, dtype=float), q))
-
-
 def _time_one_run(
     config: CoCoAConfig,
     kernels: KernelConfig,
@@ -106,11 +103,11 @@ def _time_one_run(
 
 
 def _summarize_walls(walls: List[float], events: int) -> Dict[str, object]:
-    p50 = _percentile(walls, 50.0)
+    p50 = percentile(walls, 50.0)
     return {
         "wall_s": [round(w, 6) for w in walls],
         "wall_p50_s": round(p50, 6),
-        "wall_p90_s": round(_percentile(walls, 90.0), 6),
+        "wall_p90_s": round(percentile(walls, 90.0), 6),
         "events_processed": int(events),
         "events_per_s": round(events / p50, 1),
     }

@@ -23,7 +23,7 @@ the team degrades:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import CoCoAConfig

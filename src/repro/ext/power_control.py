@@ -20,7 +20,6 @@ from repro.core.config import CoCoAConfig
 from repro.core.team import CoCoATeam
 from repro.experiments.metrics import summarize_errors
 from repro.experiments.runner import SharedCalibration
-from repro.net.phy import PathLossModel
 
 
 @dataclass(frozen=True)

@@ -64,12 +64,15 @@ BLOCKING_CALLS = frozenset({
 #: Builtins that block (file open, terminal read).
 BLOCKING_BUILTINS = frozenset({"open", "input"})
 
-#: repro-internal helpers known to hit the disk (trace exports, cache
-#: writers).  Calling one from a coroutine blocks the loop exactly like
-#: stdlib file I/O; offload with ``asyncio.to_thread``.
+#: repro-internal helpers known to hit the disk (the JSONL and Perfetto
+#: writers), under their module and package re-export names.  Calling
+#: one from a coroutine blocks the loop exactly like stdlib file I/O;
+#: offload with ``asyncio.to_thread``.
 BLOCKING_INTERNAL = frozenset({
-    "repro.obs.export.write_trace_jsonl",
-    "repro.obs.export.write_perfetto_json",
+    "repro.telemetry.export.write_jsonl",
+    "repro.telemetry.export.write_perfetto_json",
+    "repro.telemetry.write_jsonl",
+    "repro.telemetry.write_perfetto_json",
 })
 
 #: Deliberate always-on-the-loop escape hatch: resolved origins here are

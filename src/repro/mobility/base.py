@@ -9,7 +9,6 @@ events and lets the channel model evaluate positions exactly at packet time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.util.geometry import Vec2

@@ -29,7 +29,7 @@ from repro.net.packet import Packet, ReceivedPacket
 from repro.net.phy import PathLossModel, ReceiverModel
 from repro.net.radio import Radio
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceLog
+from repro.telemetry.spans import SpanTracer
 from repro.util.geometry import Vec2
 from repro.util.units import dbm_to_mw, mw_to_dbm
 
@@ -99,6 +99,10 @@ class BroadcastChannel:
         rng: random stream for RSSI noise.
         bitrate_bps: physical bitrate (paper: 2 Mbps).
         preamble_s: fixed per-frame preamble airtime.
+        trace: optional sim-clock tracer; when given, every frame put on
+            the air, delivered or lost to a collision is recorded as a
+            ``channel.tx`` / ``channel.rx`` / ``channel.collision`` point
+            event.  Without one the channel records nothing.
     """
 
     def __init__(
@@ -108,7 +112,7 @@ class BroadcastChannel:
         rng: np.random.Generator,
         bitrate_bps: float = 2e6,
         preamble_s: float = PREAMBLE_S,
-        trace: Optional[TraceLog] = None,
+        trace: Optional[SpanTracer] = None,
     ) -> None:
         if bitrate_bps <= 0:
             raise ValueError(
@@ -121,7 +125,7 @@ class BroadcastChannel:
         self._preamble_s = preamble_s
         self._nodes: Dict[int, _NodeEntry] = {}
         self._transmissions: List[Transmission] = []
-        self._trace = trace if trace is not None else TraceLog()
+        self._trace = trace
         self._faults = None
         self._world = None
         self._row_entries: Optional[List[_NodeEntry]] = None
@@ -244,9 +248,10 @@ class BroadcastChannel:
         entry.radio.meter.charge_send(packet.size_bytes)
         self.stats.frames_sent += 1
         self.stats.airtime_s += airtime
-        self._trace.emit(
-            now, "channel.tx", src_id, kind=packet.kind, uid=packet.uid
-        )
+        if self._trace is not None:
+            self._trace.event(
+                now, "channel.tx", src_id, kind=packet.kind, uid=packet.uid
+            )
 
         self._offer_frame(tx, airtime)
         return airtime
@@ -406,7 +411,6 @@ class BroadcastChannel:
         ]
         stats = self.stats
         trace = self._trace
-        trace_rx = trace.enabled("channel.rx")
         faults = self._faults
         packet = tx.packet
         size_bytes = packet.size_bytes
@@ -432,13 +436,14 @@ class BroadcastChannel:
                     sinr_db = rssi - mw_to_dbm(interference_mw)
                     if sinr_db < receiver.receiver.capture_threshold_db:
                         stats.frames_collided += 1
-                        trace.emit(
-                            now,
-                            "channel.collision",
-                            receiver_id,
-                            kind=packet.kind,
-                            uid=packet.uid,
-                        )
+                        if trace is not None:
+                            trace.event(
+                                now,
+                                "channel.collision",
+                                receiver_id,
+                                kind=packet.kind,
+                                uid=packet.uid,
+                            )
                         continue
             radio.meter.charge_recv(size_bytes)
             received = packet
@@ -454,8 +459,8 @@ class BroadcastChannel:
                     stats.frames_corrupted += 1
                 rssi = faults.reported_rssi(now, tx.src, rssi)
             stats.frames_delivered += 1
-            if trace_rx:
-                trace.emit(
+            if trace is not None:
+                trace.event(
                     now,
                     "channel.rx",
                     receiver_id,

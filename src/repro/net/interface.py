@@ -9,7 +9,7 @@ CoCoA core and the multicast protocols free of wiring code.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional
+from typing import Deque, Optional
 
 import numpy as np
 

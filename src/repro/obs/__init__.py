@@ -11,29 +11,22 @@ by construction when disabled, and proven byte-inert when enabled by
 the replay gate (``tests/test_serve_replay.py`` runs the 3-seed
 service-vs-batch comparison with tracing off, always-on and sampled).
 
-Pieces:
+The span type, its record format, the bounded ring, the JSONL codec and
+the Perfetto exporter are shared with simulation tracing and live in
+:mod:`repro.telemetry`; this package adds only what is wall-clock and
+service specific:
 
-- :mod:`~repro.obs.trace` — trace ids, parent-linked wall-clock spans
-  (:class:`WallSpan`), per-request :class:`ActiveTrace` accumulation
-  and the head/tail-sampling :class:`RequestTracer`.
-- :mod:`~repro.obs.buffer` — the bounded :class:`SpanBuffer` finished
-  spans land in.
+- :mod:`~repro.obs.trace` — trace ids, per-request :class:`ActiveTrace`
+  accumulation of wall-clock spans and the head/tail-sampling
+  :class:`RequestTracer`.
 - :mod:`~repro.obs.oplog` — the structured ops event log
   (:class:`OpsLog`): supervisor restarts, evictions, rehydrations,
   each tagged with trace/rid/tenant correlation ids when known.
-- :mod:`~repro.obs.export` — trace JSONL round-trip plus the
-  Perfetto/Chrome ``trace_event`` JSON exporter.
 - :mod:`~repro.obs.summary` — per-hop latency attribution tables and
-  the ``repro trace summarize`` / ``slowest`` views.
+  the ``repro trace summarize`` / ``slowest`` views, over spans of
+  either clock.
 """
 
-from repro.obs.buffer import SpanBuffer
-from repro.obs.export import (
-    perfetto_trace_events,
-    read_trace_jsonl,
-    write_perfetto_json,
-    write_trace_jsonl,
-)
 from repro.obs.oplog import OpsEvent, OpsLog
 from repro.obs.summary import (
     hop_table,
@@ -46,7 +39,6 @@ from repro.obs.trace import (
     NULL_TRACER,
     RequestTracer,
     TraceConfig,
-    WallSpan,
 )
 
 __all__ = [
@@ -55,15 +47,9 @@ __all__ = [
     "OpsEvent",
     "OpsLog",
     "RequestTracer",
-    "SpanBuffer",
     "TraceConfig",
-    "WallSpan",
     "hop_table",
-    "perfetto_trace_events",
-    "read_trace_jsonl",
     "render_slowest",
     "render_summary",
     "slowest_traces",
-    "write_perfetto_json",
-    "write_trace_jsonl",
 ]

@@ -1,7 +1,9 @@
 """Per-hop latency attribution over recorded trace spans.
 
-Turns a flat list of span records into the two views the ``repro
-trace`` CLI prints:
+Turns a flat list of spans (:class:`~repro.telemetry.spans.Span`) — sim
+or wall clock, live or parsed back from trace JSONL with
+:meth:`~repro.telemetry.spans.Span.from_record` — into the two views the
+``repro trace`` CLI prints:
 
 - :func:`hop_table` / :func:`render_summary` — per-hop count, total,
   mean, p50/p99 and share-of-request-time, answering "where does the
@@ -10,14 +12,17 @@ trace`` CLI prints:
   requests with their per-hop breakdown, answering "what happened to
   *that* request?".
 
-Span records are the dicts produced by
-:meth:`~repro.obs.trace.WallSpan.as_record` (or read back from trace
-JSONL) — this module never touches live tracer state.
+For a sim trace the "hops" are span names (``beacon_round``,
+``beacon_rx``, ``channel.rx``); it has no ``request`` roots, so its
+shares read 0 and ``slowest`` finds nothing to rank.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
+
+from repro.analysis.stats import percentile
+from repro.telemetry.spans import Span
 
 __all__ = [
     "hop_table",
@@ -30,62 +35,42 @@ __all__ = [
 ROOT = "request"
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    pos = q * (len(sorted_values) - 1)
-    low = int(pos)
-    high = min(low + 1, len(sorted_values) - 1)
-    frac = pos - low
-    return sorted_values[low] * (1.0 - frac) + sorted_values[high] * frac
-
-
-def _durations_by_name(
-    records: Iterable[Dict[str, Any]],
-) -> Dict[str, List[float]]:
+def _durations_by_name(spans: Iterable[Span]) -> Dict[str, List[float]]:
     byname: Dict[str, List[float]] = {}
-    for record in records:
-        end_s = record.get("end_s")
-        if end_s is None:
-            continue
-        byname.setdefault(record["name"], []).append(
-            max(0.0, end_s - record["start_s"])
-        )
+    for span in spans:
+        if span.end_s is not None:
+            byname.setdefault(span.name, []).append(
+                max(0.0, span.duration_s)
+            )
     return byname
 
 
-def hop_table(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
+def hop_table(spans: Iterable[Span]) -> List[Dict[str, Any]]:
     """Per-hop aggregate rows, root first then hops by total time.
 
     Each row: ``name, count, total_ms, mean_ms, p50_ms, p99_ms,
     share`` — ``share`` being the hop's total as a fraction of the
     total root-span time (the root's own share is 1.0).
     """
-    byname = _durations_by_name(records)
+    byname = _durations_by_name(spans)
     root_total = sum(byname.get(ROOT, []))
     rows: List[Dict[str, Any]] = []
     for name, durations in byname.items():
-        durations.sort()
         total = sum(durations)
         rows.append({
             "name": name,
             "count": len(durations),
             "total_ms": total * 1e3,
             "mean_ms": total / len(durations) * 1e3,
-            "p50_ms": _percentile(durations, 0.50) * 1e3,
-            "p99_ms": _percentile(durations, 0.99) * 1e3,
+            "p50_ms": percentile(durations, 50.0) * 1e3,
+            "p99_ms": percentile(durations, 99.0) * 1e3,
             "share": (total / root_total) if root_total > 0 else 0.0,
         })
     rows.sort(key=lambda row: (row["name"] != ROOT, -row["total_ms"]))
     return rows
 
 
-def slowest_traces(
-    records: Iterable[Dict[str, Any]],
-    n: int = 10,
-) -> List[Dict[str, Any]]:
+def slowest_traces(spans: Iterable[Span], n: int = 10) -> List[Dict[str, Any]]:
     """The ``n`` slowest requests, each with a per-hop breakdown.
 
     Each entry: ``trace, duration_ms, attrs`` (the root span's attrs —
@@ -94,23 +79,20 @@ def slowest_traces(
     """
     roots: Dict[str, Dict[str, Any]] = {}
     hops: Dict[str, Dict[str, float]] = {}
-    for record in records:
-        end_s = record.get("end_s")
-        if end_s is None:
+    for span in spans:
+        if span.end_s is None:
             continue
-        trace_id = record["trace"]
-        duration_ms = max(0.0, end_s - record["start_s"]) * 1e3
-        if record["name"] == ROOT:
+        trace_id = span.trace_id
+        duration_ms = max(0.0, span.duration_s) * 1e3
+        if span.name == ROOT:
             roots[trace_id] = {
                 "trace": trace_id,
                 "duration_ms": duration_ms,
-                "attrs": dict(record.get("attrs") or {}),
+                "attrs": dict(span.attrs),
             }
         else:
             bucket = hops.setdefault(trace_id, {})
-            bucket[record["name"]] = (
-                bucket.get(record["name"], 0.0) + duration_ms
-            )
+            bucket[span.name] = bucket.get(span.name, 0.0) + duration_ms
     entries = sorted(
         roots.values(), key=lambda entry: -entry["duration_ms"]
     )[:n]
@@ -135,12 +117,13 @@ def _format_table(headers: List[str], rows: List[List[str]]) -> str:
     return "\n".join(lines)
 
 
-def render_summary(records: List[Dict[str, Any]]) -> str:
+def render_summary(spans: List[Span]) -> str:
     """The ``repro trace summarize`` view."""
-    rows = hop_table(records)
+    rows = hop_table(spans)
     if not rows:
         return "no closed spans recorded"
-    n_traces = len({record["trace"] for record in records})
+    n_traces = len({span.trace_id for span in spans if span.clock == "wall"})
+    n_nodes = len({span.node for span in spans if span.clock == "sim"})
     body = _format_table(
         ["hop", "count", "total ms", "mean ms", "p50 ms", "p99 ms", "share"],
         [
@@ -156,12 +139,14 @@ def render_summary(records: List[Dict[str, Any]]) -> str:
             for row in rows
         ],
     )
-    return "%d spans across %d traces\n\n%s" % (len(records), n_traces, body)
+    return "%d spans across %d traces and %d nodes\n\n%s" % (
+        len(spans), n_traces, n_nodes, body,
+    )
 
 
-def render_slowest(records: List[Dict[str, Any]], n: int = 10) -> str:
+def render_slowest(spans: List[Span], n: int = 10) -> str:
     """The ``repro trace slowest`` view."""
-    entries = slowest_traces(records, n=n)
+    entries = slowest_traces(spans, n=n)
     if not entries:
         return "no closed spans recorded"
     lines: List[str] = []

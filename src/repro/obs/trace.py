@@ -7,12 +7,13 @@ of the NDJSON protocol, and is echoed on the reply line so a client can
 correlate the retries of a request whose first reply was lost.
 
 Inside the server each traced request accumulates parent-linked
-:class:`WallSpan` records — ``request`` (the root, submit to reply),
-``queue`` (shard queue wait), ``shard_service`` (the worker's handling
-slot), ``estimator_ingest`` (applying a window's observations) and
-``checkpoint`` (the durability write) — giving queue-wait vs.
-service-time attribution per hop.  Timestamps come from an injectable
-*relative* clock (``time.perf_counter`` by default): REP002 bans
+wall-clock :class:`~repro.telemetry.spans.Span` records — ``request``
+(the root, submit to reply), ``queue`` (shard queue wait),
+``shard_service`` (the worker's handling slot), ``estimator_ingest``
+(applying a window's observations) and ``checkpoint`` (the durability
+write) — giving queue-wait vs. service-time attribution per hop.
+Timestamps come from an injectable *relative* clock
+(``time.perf_counter`` by default): REP002 bans
 absolute wall timestamps everywhere, and bans even relative timers in
 the sim packages, which is exactly why this module lives in
 ``repro.obs`` and is threaded only through the serve layer.
@@ -27,8 +28,8 @@ Sampling keeps the always-on cost bounded:
 - ``mode="off"`` makes every hook a cheap ``None`` check.
 
 The tracer is loop-confined like everything else in the serve stack
-(one asyncio loop owns it), so the span buffer needs no locks; see
-:class:`~repro.obs.buffer.SpanBuffer`.
+(one asyncio loop owns it), so its
+:class:`~repro.telemetry.spans.SpanBuffer` needs no locks.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.buffer import SpanBuffer
 from repro.telemetry.registry import NULL_REGISTRY
+from repro.telemetry.spans import Span, SpanBuffer
 
 __all__ = [
     "TraceConfig",
-    "WallSpan",
     "ActiveTrace",
     "RequestTracer",
     "NULL_TRACER",
@@ -89,58 +89,6 @@ class TraceConfig:
             raise ValueError("max_spans must be >= 1")
 
 
-class WallSpan:
-    """One named wall-clock interval inside a trace.
-
-    ``start_s`` / ``end_s`` are offsets on the tracer's relative clock
-    (a shared process origin), so spans from one process compose into
-    one timeline; they are *not* absolute timestamps.
-    """
-
-    __slots__ = ("trace_id", "span_id", "parent_id", "name",
-                 "start_s", "end_s", "attrs")
-
-    def __init__(
-        self,
-        trace_id: str,
-        span_id: int,
-        name: str,
-        start_s: float,
-        parent_id: Optional[int] = None,
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start_s = start_s
-        self.end_s: Optional[float] = None
-        self.attrs = attrs if attrs is not None else {}
-
-    @property
-    def duration_s(self) -> float:
-        if self.end_s is None:
-            return 0.0
-        return self.end_s - self.start_s
-
-    def as_record(self) -> Dict[str, Any]:
-        """JSON-serializable form (the trace-JSONL line)."""
-        return {
-            "trace": self.trace_id,
-            "span": self.span_id,
-            "parent": self.parent_id,
-            "name": self.name,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "attrs": self.attrs,
-        }
-
-    def __repr__(self) -> str:
-        return "WallSpan(%s#%d %s %.6fs)" % (
-            self.trace_id, self.span_id, self.name, self.duration_s,
-        )
-
-
 class ActiveTrace:
     """One in-flight request's span accumulation.
 
@@ -166,36 +114,36 @@ class ActiveTrace:
         self._clock = clock
         self.keep_head = keep_head
         self._ids = itertools.count(1)
-        self._spans: List[WallSpan] = []
+        self._spans: List[Span] = []
         attrs: Dict[str, Any] = {"op": op, "tenant": tenant}
         if rid is not None:
             attrs["rid"] = rid
         self.root = self._open("request", parent_id=None, attrs=attrs)
-        self.queue_span: Optional[WallSpan] = self._open(
+        self.queue_span: Optional[Span] = self._open(
             "queue", parent_id=self.root.span_id, attrs=None
         )
 
-    def _open(self, name, parent_id, attrs) -> WallSpan:
-        span = WallSpan(
-            self.trace_id, next(self._ids), name, self._clock(),
-            parent_id=parent_id, attrs=attrs,
+    def _open(self, name, parent_id, attrs) -> Span:
+        span = Span(
+            next(self._ids), name, self._clock(), parent_id=parent_id,
+            attrs=attrs, trace_id=self.trace_id, clock="wall",
         )
         self._spans.append(span)
         return span
 
     # -- hop recording -------------------------------------------------------
 
-    def open_span(self, name: str, **attrs: Any) -> WallSpan:
+    def open_span(self, name: str, **attrs: Any) -> Span:
         """Open a child span of the request root at *now*."""
         return self._open(name, parent_id=self.root.span_id,
                           attrs=attrs or None)
 
-    def close_span(self, span: Optional[WallSpan]) -> None:
+    def close_span(self, span: Optional[Span]) -> None:
         """Close ``span`` at *now* (no-op for ``None`` / already closed)."""
         if span is not None and span.end_s is None:
             span.end_s = self._clock()
 
-    def dequeued(self) -> Optional[WallSpan]:
+    def dequeued(self) -> Optional[Span]:
         """Mark the shard worker picking this request up: the queue span
         closes and the ``shard_service`` span opens.  Returns the
         service span (the worker closes it after handling)."""
@@ -205,11 +153,11 @@ class ActiveTrace:
     class _Hop:
         __slots__ = ("_trace", "_span")
 
-        def __init__(self, trace: "ActiveTrace", span: WallSpan) -> None:
+        def __init__(self, trace: "ActiveTrace", span: Span) -> None:
             self._trace = trace
             self._span = span
 
-        def __enter__(self) -> WallSpan:
+        def __enter__(self) -> Span:
             return self._span
 
         def __exit__(self, *exc_info) -> None:
@@ -233,7 +181,7 @@ class ActiveTrace:
         return self.root.end_s - self.root.start_s
 
     @property
-    def spans(self) -> List[WallSpan]:
+    def spans(self) -> List[Span]:
         return self._spans
 
 

@@ -40,7 +40,7 @@ exactly from its seed.
 from __future__ import annotations
 
 import asyncio
-import json
+import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -60,6 +60,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.replay import ReplayLog, diff_fixes
 from repro.serve.server import LocalizationServer, ServeConfig, ServiceCore
+from repro.telemetry.export import write_jsonl
 from repro.telemetry.registry import MetricsRegistry
 
 __all__ = [
@@ -573,10 +574,8 @@ async def run_chaos(
             _dump_chaos_log, chaos_log_path, schedule, journal, report
         )
     if trace_log_path is not None:
-        from repro.obs.export import write_trace_jsonl
-
         await asyncio.to_thread(
-            write_trace_jsonl, trace_log_path, core.tracer.records()
+            write_jsonl, trace_log_path, core.tracer.records()
         )
     return report
 
@@ -606,13 +605,8 @@ def _dump_chaos_log(path, schedule: ChaosSchedule,
                     journal: List[Dict[str, Any]],
                     report: ChaosReport) -> None:
     """JSONL: header, schedule, every journal line, final report."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(
-            {"kind": "header", "seed": schedule.seed,
-             "faults": [asdict(event) for event in schedule.events]},
-            sort_keys=True) + "\n")
-        for line in journal:
-            handle.write(json.dumps(line, sort_keys=True) + "\n")
-        handle.write(json.dumps(
-            {"kind": "report", **asdict(report)}, sort_keys=True
-        ) + "\n")
+    header = {"kind": "header", "seed": schedule.seed,
+              "faults": [asdict(event) for event in schedule.events]}
+    write_jsonl(path, itertools.chain(
+        [header], journal, [{"kind": "report", **asdict(report)}]
+    ))

@@ -23,7 +23,7 @@ can record once and replay in a separate process.
 
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -31,6 +31,7 @@ from repro.core.config import CoCoAConfig, LocalizationMode
 from repro.core.team import CoCoATeam
 from repro.kernels import resolve_kernels
 from repro.serve.client import ensure_ok
+from repro.telemetry.export import read_jsonl, write_jsonl
 
 __all__ = [
     "ReplayLog",
@@ -88,18 +89,19 @@ class ReplayLog:
             "grid_resolution_m": self.grid_resolution_m,
             "min_beacons_for_fix": self.min_beacons_for_fix,
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for event in self.events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
+        write_jsonl(path, itertools.chain([header], self.events))
 
     @classmethod
     def load_jsonl(cls, path) -> "ReplayLog":
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
+        lines = read_jsonl(path)
+        if lines.skipped:
+            raise ValueError(
+                "replay log %s has %d unreadable line(s)"
+                % (path, lines.skipped)
+            )
         if not lines:
             raise ValueError("empty replay log: %s" % path)
-        header = json.loads(lines[0])
+        header = lines[0]
         if header.get("kind") != "header":
             raise ValueError("replay log must start with a header line")
         log = cls(
@@ -110,7 +112,7 @@ class ReplayLog:
             grid_resolution_m=header["grid_resolution_m"],
             min_beacons_for_fix=header["min_beacons_for_fix"],
         )
-        log.events = [json.loads(line) for line in lines[1:]]
+        log.events = lines[1:]
         return log
 
 

@@ -1,8 +1,16 @@
-"""Unified telemetry: metrics registry, span tracing, run reports.
+"""Unified telemetry: metrics registry, spans, exporters, run reports.
 
 The package sits below every instrumented layer (sim, net, core, energy,
-multicast, orchestrator) and imports none of them — subsystems hand it
-plain values and duck-typed stats objects.
+multicast, orchestrator, serve, obs) and imports none of them —
+subsystems hand it plain values and duck-typed stats objects.
+
+It owns the pieces simulation and service tracing share: the one span
+type and record format (:class:`Span`), the one bounded ring
+(:class:`SpanBuffer`), the sim-clock :class:`SpanTracer`, the one JSONL
+codec (:func:`write_jsonl` / :func:`read_jsonl`) and the one Perfetto
+exporter (:func:`write_perfetto_json`).  A sim trace is dumped with
+``write_jsonl(path, (s.as_record() for s in team.telemetry.tracer))``
+and read back by ``repro trace`` like a serve trace.
 """
 
 from repro.telemetry.collect import (
@@ -11,11 +19,13 @@ from repro.telemetry.collect import (
     collect_team_snapshot,
 )
 from repro.telemetry.export import (
+    JsonlRecords,
     append_jsonl,
+    perfetto_trace_events,
     prometheus_text,
     read_jsonl,
-    span_records,
     write_jsonl,
+    write_perfetto_json,
 )
 from repro.telemetry.registry import (
     COUNT_EDGES,
@@ -37,7 +47,12 @@ from repro.telemetry.snapshot import (
     TelemetrySnapshot,
     merge_snapshots,
 )
-from repro.telemetry.spans import Span, SpanTracer
+from repro.telemetry.spans import (
+    Span,
+    SpanBuffer,
+    SpanRecordError,
+    SpanTracer,
+)
 
 __all__ = [
     "Telemetry",
@@ -55,15 +70,19 @@ __all__ = [
     "DISTANCE_EDGES_M",
     "COUNT_EDGES",
     "Span",
+    "SpanBuffer",
+    "SpanRecordError",
     "SpanTracer",
     "TelemetrySnapshot",
     "merge_snapshots",
     "MAX_METRICS",
     "LAST_METRICS",
+    "JsonlRecords",
     "append_jsonl",
     "write_jsonl",
     "read_jsonl",
     "prometheus_text",
-    "span_records",
+    "perfetto_trace_events",
+    "write_perfetto_json",
     "render_report",
 ]

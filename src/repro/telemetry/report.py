@@ -10,7 +10,7 @@ the raw sums, never stored in snapshots — see
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.telemetry.snapshot import TelemetrySnapshot
 

@@ -1,115 +1,241 @@
-"""Parent-linked spans over simulation time.
+"""Parent-linked spans, their one record format and their one ring.
 
-:class:`SpanTracer` generalizes the original flat
-:class:`~repro.sim.trace.TraceRecord` stream into *spans*: named
-intervals of simulation time with parent links, so a beacon round can own
-its per-node receive events, which in turn annotate the Bayes update that
-consumed them.  A point event is simply a span whose end equals its
-start.
+A :class:`Span` is a named interval with a parent link.  The same type
+serves both clocks the project traces on:
 
-The tracer is deliberately passive: recording a span allocates one small
-object and appends to a deque — it never schedules events, never reads
-RNG, and its timestamps are the *simulation* clock values the caller
-passes in, so enabling tracing cannot perturb a run (the determinism
-regression test holds this line).
+- ``clock="sim"`` — simulation seconds, recorded by :class:`SpanTracer`
+  (a beacon round owning its per-node receive events, channel frames).
+  These spans carry a ``node`` and no trace id.
+- ``clock="wall"`` — offsets on a relative wall clock, recorded per
+  served request by :class:`~repro.obs.trace.ActiveTrace`.  These carry
+  a ``trace`` id and no node.
 
-Memory is bounded: construct with ``max_records`` to keep a ring buffer
-of the most recent records and count the evicted ones in
-:attr:`SpanTracer.dropped_count` — a week-long soak with tracing enabled
+:meth:`Span.as_record` / :meth:`Span.from_record` are the one record
+format: the trace-JSONL line that ``repro trace`` reads back, whichever
+clock wrote it.  A point event is a span whose end equals its start.
+
+:class:`SpanBuffer` is the one bounded ring: the sim tracer, the request
+tracer and the ops log all keep their records in one, evicting the
+oldest first and tallying what they evicted, so a long soak or service
 degrades to a sliding window instead of exhausting RAM.
+
+Recording is passive: a span is one small object appended to a ring —
+it never schedules events or reads RNG, and sim timestamps are the
+values the caller passes in, so tracing cannot perturb a run (the
+telemetry on/off byte-identity tests hold this line).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-__all__ = ["Span", "SpanTracer"]
+__all__ = ["CLOCKS", "Span", "SpanBuffer", "SpanRecordError", "SpanTracer"]
+
+#: The two time bases a span can live on.
+CLOCKS = ("sim", "wall")
+
+
+class SpanRecordError(ValueError):
+    """A JSON record that is not a span record."""
+
+
+def _reject(record: Any, reason: str) -> SpanRecordError:
+    text = repr(record)
+    if len(text) > 80:
+        text = text[:77] + "..."
+    return SpanRecordError("not a span record (%s): %s" % (reason, text))
+
+
+def _seconds(record: Dict[str, Any], key: str) -> float:
+    value = record[key]
+    if isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise _reject(record, "%s must be a number" % key)
 
 
 class Span:
-    """One named interval (or point event) on the simulation time-line."""
+    """One named interval (or point event) on a simulation or wall clock.
 
-    __slots__ = ("span_id", "parent_id", "name", "node", "start", "end", "attrs")
+    ``start_s`` / ``end_s`` are simulation seconds for ``clock="sim"``
+    and relative wall-clock offsets (a shared process origin, never
+    absolute timestamps) for ``clock="wall"``.  ``end_s`` is ``None``
+    while the span is open.
+    """
+
+    __slots__ = ("clock", "trace_id", "span_id", "parent_id", "name",
+                 "node", "start_s", "end_s", "attrs")
 
     def __init__(
         self,
         span_id: int,
         name: str,
-        start: float,
+        start_s: float,
+        *,
         node: Optional[int] = None,
         parent_id: Optional[int] = None,
         attrs: Optional[Dict[str, Any]] = None,
+        trace_id: Optional[str] = None,
+        clock: str = "sim",
     ) -> None:
+        self.clock = clock
+        self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
         self.node = node
-        self.start = start
-        self.end: Optional[float] = None
+        self.start_s = start_s
+        self.end_s: Optional[float] = None
         self.attrs = attrs if attrs is not None else {}
 
     @property
     def closed(self) -> bool:
-        return self.end is not None
+        return self.end_s is not None
 
     @property
     def duration_s(self) -> float:
-        """Simulation-time length (0.0 for point events / open spans)."""
-        if self.end is None:
+        """Length on the span's clock (0.0 for point events / open spans)."""
+        if self.end_s is None:
             return 0.0
-        return self.end - self.start
+        return self.end_s - self.start_s
 
     def as_record(self) -> Dict[str, Any]:
-        """JSON-serializable form (sorted keys are the exporter's job)."""
+        """The JSON-serializable trace-JSONL line."""
         return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
+            "clock": self.clock,
+            "trace": self.trace_id,
+            "span": self.span_id,
+            "parent": self.parent_id,
             "name": self.name,
             "node": self.node,
-            "start": self.start,
-            "end": self.end,
+            "start_s": self.start_s,
+            "end_s": self.end_s,
             "attrs": self.attrs,
         }
 
+    @classmethod
+    def from_record(cls, record: Any) -> "Span":
+        """Parse one :meth:`as_record` dict (e.g. a line read back from
+        trace JSONL).  A record without ``clock`` is a wall span, the only
+        kind written before sim traces could be exported.
+
+        Raises:
+            SpanRecordError: naming the record, if it is not a JSON object
+                or a field is missing or of the wrong type.
+        """
+        if not isinstance(record, dict):
+            raise _reject(record, "not a JSON object")
+        for key in ("span", "name", "start_s", "end_s"):
+            if key not in record:
+                raise _reject(record, "missing %r" % key)
+        clock = record.get("clock", "wall")
+        if clock not in CLOCKS:
+            raise _reject(record, "clock must be one of %r" % (CLOCKS,))
+        if not isinstance(record["name"], str):
+            raise _reject(record, "name must be a string")
+        if not isinstance(record.get("trace"), (str, type(None))):
+            raise _reject(record, "trace must be a string or null")
+        if not isinstance(record["span"], int):
+            raise _reject(record, "span must be an integer")
+        for key in ("parent", "node"):
+            if not isinstance(record.get(key), (int, type(None))):
+                raise _reject(record, "%s must be an integer or null" % key)
+        attrs = record.get("attrs")
+        if not isinstance(attrs, (dict, type(None))):
+            raise _reject(record, "attrs must be an object or null")
+        span = cls(
+            record["span"],
+            record["name"],
+            _seconds(record, "start_s"),
+            node=record.get("node"),
+            parent_id=record.get("parent"),
+            attrs=attrs,
+            trace_id=record.get("trace"),
+            clock=clock,
+        )
+        if record["end_s"] is not None:
+            span.end_s = _seconds(record, "end_s")
+        return span
+
     def __repr__(self) -> str:
-        return "Span(#%d %s node=%s t=[%.3f, %s])" % (
-            self.span_id,
-            self.name,
-            self.node,
-            self.start,
-            "%.3f" % self.end if self.end is not None else "open",
+        return "Span(%s %s#%d %s node=%s [%r, %r])" % (
+            self.clock, self.trace_id, self.span_id, self.name, self.node,
+            self.start_s, self.end_s,
         )
 
 
-class SpanTracer:
-    """Collects :class:`Span` records, optionally in a bounded ring.
+class SpanBuffer:
+    """Bounded FIFO ring with an eviction tally.
 
     Args:
-        max_records: if given, keep only the most recent ``max_records``
-            spans; evictions bump :attr:`dropped_count`.  ``None`` keeps
+        max_spans: capacity; when full, each append evicts the oldest
+            entry and bumps :attr:`dropped`.  ``None`` is unbounded.
+
+    Eviction can split a trace (its earliest spans fall out first), so
+    consumers treat a trace with no root span as truncated.  The serve
+    stack owns its buffers from one asyncio loop, so no locking is
+    needed.
+    """
+
+    __slots__ = ("_items", "dropped")
+
+    def __init__(self, max_spans: Optional[int]) -> None:
+        if max_spans is not None and max_spans < 1:
+            raise ValueError(
+                "max_spans must be >= 1 or None, got %r" % max_spans
+            )
+        self._items: deque = deque(maxlen=max_spans)
+        self.dropped = 0
+
+    @property
+    def max_spans(self) -> Optional[int]:
+        return self._items.maxlen
+
+    def append(self, item) -> None:
+        if len(self._items) == self._items.maxlen:
+            self.dropped += 1
+        self._items.append(item)
+
+    def extend(self, items: Iterable) -> None:
+        for item in items:
+            self.append(item)
+
+    def clear(self) -> None:
+        """Drop every entry; :attr:`dropped` keeps its tally."""
+        self._items.clear()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self) -> Iterator:
+        return iter(self._items)
+
+
+class SpanTracer:
+    """Records sim-clock spans into a :class:`SpanBuffer`.
+
+    Args:
+        max_records: keep only the most recent ``max_records`` spans,
+            counting evictions in :attr:`dropped_count`.  ``None`` keeps
             everything (tests, short runs).
     """
 
     def __init__(self, max_records: Optional[int] = None) -> None:
-        if max_records is not None and max_records < 1:
-            raise ValueError(
-                "max_records must be >= 1 or None, got %r" % max_records
-            )
-        self.max_records = max_records
-        self._records: Deque[Span] = deque(maxlen=max_records)
+        self.buffer = SpanBuffer(max_records)
         self._ids = itertools.count(1)
-        self.dropped_count = 0
 
-    def _append(self, span: Span) -> Span:
-        if (
-            self.max_records is not None
-            and len(self._records) == self.max_records
-        ):
-            self.dropped_count += 1
-        self._records.append(span)
-        return span
+    @property
+    def max_records(self) -> Optional[int]:
+        return self.buffer.max_spans
+
+    @property
+    def dropped_count(self) -> int:
+        """Spans evicted from the ring since construction."""
+        return self.buffer.dropped
 
     def start_span(
         self,
@@ -121,16 +247,16 @@ class SpanTracer:
     ) -> Span:
         """Open a span at simulation time ``t``; close it with
         :meth:`end_span`."""
-        return self._append(
-            Span(
-                next(self._ids),
-                name,
-                float(t),
-                node=node,
-                parent_id=parent.span_id if parent is not None else None,
-                attrs=attrs or None,
-            )
+        span = Span(
+            next(self._ids),
+            name,
+            float(t),
+            node=node,
+            parent_id=parent.span_id if parent is not None else None,
+            attrs=attrs or None,
         )
+        self.buffer.append(span)
+        return span
 
     def end_span(self, span: Span, t: float) -> None:
         """Close ``span`` at simulation time ``t``.
@@ -139,11 +265,11 @@ class SpanTracer:
             ValueError: if ``t`` precedes the span's start (spans live on
                 a monotonic simulation clock).
         """
-        if t < span.start:
+        if t < span.start_s:
             raise ValueError(
                 "span %r cannot end at t=%r before its start" % (span, t)
             )
-        span.end = float(t)
+        span.end_s = float(t)
 
     def event(
         self,
@@ -154,30 +280,8 @@ class SpanTracer:
         **attrs: Any,
     ) -> Span:
         """Record a point event (a zero-duration, already-closed span)."""
-        return self.record_event(t, name, node=node, parent=parent,
-                                 attrs=attrs or None)
-
-    def record_event(
-        self,
-        t: float,
-        name: str,
-        node: Optional[int] = None,
-        parent: Optional[Span] = None,
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> Span:
-        """Point-event variant taking attrs as a dict — for facades whose
-        attribute keys may collide with this signature's parameter names."""
-        span = self._append(
-            Span(
-                next(self._ids),
-                name,
-                float(t),
-                node=node,
-                parent_id=parent.span_id if parent is not None else None,
-                attrs=attrs,
-            )
-        )
-        span.end = span.start
+        span = self.start_span(name, t, node, parent, **attrs)
+        span.end_s = span.start_s
         return span
 
     # -- introspection -------------------------------------------------------
@@ -185,22 +289,22 @@ class SpanTracer:
     def records(self, name: Optional[str] = None) -> List[Span]:
         """Recorded spans in order, optionally filtered by name."""
         if name is None:
-            return list(self._records)
-        return [s for s in self._records if s.name == name]
+            return list(self.buffer)
+        return [s for s in self.buffer if s.name == name]
 
     def count(self, name: str) -> int:
-        return sum(1 for s in self._records if s.name == name)
+        return sum(1 for s in self.buffer if s.name == name)
 
     def children_of(self, span: Span) -> List[Span]:
         """Direct children of ``span`` (parent-link navigation)."""
-        return [s for s in self._records if s.parent_id == span.span_id]
+        return [s for s in self.buffer if s.parent_id == span.span_id]
 
     def clear(self) -> None:
         """Drop all records (the drop counter keeps its tally)."""
-        self._records.clear()
+        self.buffer.clear()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.buffer)
 
     def __iter__(self) -> Iterator[Span]:
-        return iter(self._records)
+        return iter(self.buffer)

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.seeds import compare_scenarios, run_seed_sweep
-from repro.analysis.stats import (
-    ConfidenceInterval,
-    mean_confidence_interval,
-    welch_t_test,
-)
+from repro.analysis.stats import mean_confidence_interval, welch_t_test
 from repro.core.config import CoCoAConfig, LocalizationMode
 from repro.experiments.runner import SharedCalibration
 

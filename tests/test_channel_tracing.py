@@ -15,19 +15,20 @@ from repro.net.packet import Packet
 from repro.net.phy import PathLossModel
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import TraceLog
+from repro.telemetry.spans import SpanTracer
 from repro.util.geometry import Vec2
 
 
-def traced_network(categories, faults=None, crc_check=False):
-    """Three stationary nodes 15 m apart on one traced channel.
+def traced_network(traced=True, faults=None, crc_check=False):
+    """Three stationary nodes 15 m apart on one channel, traced by a
+    :class:`SpanTracer` unless ``traced`` is false.
 
     With ``faults`` (a :class:`FaultPlan`) a :class:`FaultInjector` is
     installed on the channel, as a faulted team would have it.
     """
     sim = Simulator()
     streams = RandomStreams(2)
-    trace = TraceLog(categories)
+    trace = SpanTracer() if traced else None
     channel = BroadcastChannel(
         sim, PathLossModel(), streams.get("phy"), trace=trace
     )
@@ -51,9 +52,7 @@ def traced_network(categories, faults=None, crc_check=False):
 
 class TestChannelTracing:
     def test_tx_and_rx_traced(self):
-        sim, channel, interfaces, trace = traced_network(
-            ["channel.tx", "channel.rx"]
-        )
+        sim, channel, interfaces, trace = traced_network()
         interfaces[0].send_broadcast(
             Packet(src=0, kind="test", payload=None, payload_bytes=16)
         )
@@ -61,13 +60,13 @@ class TestChannelTracing:
         assert trace.count("channel.tx") == 1
         assert trace.count("channel.rx") == 2
         rx = trace.records("channel.rx")[0]
-        assert rx.details["kind"] == "test"
-        assert "rssi" in rx.details
+        assert rx.clock == "sim"
+        assert rx.start_s == rx.end_s
+        assert rx.attrs["kind"] == "test"
+        assert "rssi" in rx.attrs
 
     def test_collision_traced(self):
-        sim, channel, interfaces, trace = traced_network(
-            ["channel.collision"]
-        )
+        sim, channel, interfaces, trace = traced_network()
         # Two equal-power frames overlap at the middle receiver.
         channel.transmit(
             0, Packet(src=0, kind="x", payload=None, payload_bytes=500)
@@ -79,12 +78,16 @@ class TestChannelTracing:
         assert trace.count("channel.collision") >= 1
 
     def test_disabled_categories_stay_silent(self):
-        sim, channel, interfaces, trace = traced_network([])
+        # Without a tracer the channel records nothing, yet delivers the
+        # same frames a traced channel does.
+        sim, channel, interfaces, trace = traced_network(traced=False)
+        assert trace is None
         interfaces[0].send_broadcast(
             Packet(src=0, kind="test", payload=None, payload_bytes=16)
         )
         sim.run(until=1.0)
-        assert len(trace) == 0
+        assert channel.stats.frames_sent == 1
+        assert channel.stats.frames_delivered == 2
 
 
 def beacon(src=0):
@@ -100,15 +103,11 @@ class TestFaultedDelivery:
     """The fault branches of frame delivery, seen through channel.rx."""
 
     def test_rx_record_carries_the_biased_rssi(self):
-        clean_sim, _, clean, clean_trace = traced_network(
-            ["channel.rx"]
-        )
+        clean_sim, _, clean, clean_trace = traced_network()
         plan = FaultPlan(
             rssi_bias=RssiBiasSpec(bias_std_db=6.0, fraction_affected=1.0)
         )
-        sim, channel, interfaces, trace = traced_network(
-            ["channel.rx"], faults=plan
-        )
+        sim, channel, interfaces, trace = traced_network(faults=plan)
         inbox = []
         interfaces[1].on_receive(BEACON_KIND, inbox.append)
         clean[0].send_broadcast(beacon())
@@ -116,8 +115,8 @@ class TestFaultedDelivery:
         clean_sim.run(until=1.0)
         sim.run(until=1.0)
         # Same PHY stream, so the same sampled RSSI; only the report moves.
-        sampled = [r.details["rssi"] for r in clean_trace.records("channel.rx")]
-        reported = [r.details["rssi"] for r in trace.records("channel.rx")]
+        sampled = [r.attrs["rssi"] for r in clean_trace.records("channel.rx")]
+        reported = [r.attrs["rssi"] for r in trace.records("channel.rx")]
         assert len(reported) == len(sampled) == 2
         assert all(a != b for a, b in zip(reported, sampled))
         # The sender's bias is one offset for every receiver.
@@ -129,7 +128,7 @@ class TestFaultedDelivery:
     def test_crc_dropped_frames_are_billed_but_not_traced(self):
         plan = FaultPlan(corruption=PayloadCorruptionSpec(corrupt_prob=1.0))
         sim, channel, interfaces, trace = traced_network(
-            ["channel.rx"], faults=plan, crc_check=True
+            faults=plan, crc_check=True
         )
         inbox = []
         for interface in interfaces[1:]:
@@ -145,9 +144,7 @@ class TestFaultedDelivery:
             assert interface.meter.breakdown.packet_recv_j > 0.0
 
     def test_brownout_mid_frame_is_counted(self):
-        sim, channel, interfaces, trace = traced_network(
-            ["channel.rx"], faults=FaultPlan()
-        )
+        sim, channel, interfaces, trace = traced_network(faults=FaultPlan())
         deaf_radio = interfaces[1].radio
         # Hears the frame start at t = 0, deaf by the time it ends.
         deaf_radio.set_receive_fault(lambda now: now > 0.0)

@@ -1,7 +1,5 @@
 """Unit tests for the drifting clock and the scenario configuration."""
 
-import math
-
 import pytest
 
 from repro.core.clock import DriftingClock

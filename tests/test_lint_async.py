@@ -82,12 +82,14 @@ class TestAsy001BlockingInCoroutine:
 
     def test_known_internal_disk_writer_fires(self):
         snippet = """\
-            from repro.obs.export import write_trace_jsonl
+            from repro.telemetry import write_perfetto_json
+            from repro.telemetry.export import write_jsonl
 
             async def drain(tracer):
-                write_trace_jsonl("out.jsonl", tracer.records())
+                write_jsonl("out.jsonl", tracer.records())
+                write_perfetto_json("out.json", tracer.buffer)
             """
-        assert codes(snippet, SERVE_PATH) == ["ASY001"]
+        assert codes(snippet, SERVE_PATH) == ["ASY001", "ASY001"]
 
     def test_sync_context_is_silent(self):
         snippet = """\

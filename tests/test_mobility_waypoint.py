@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.mobility.base import Pose, ScriptedMobility, StationaryMobility
+from repro.mobility.base import ScriptedMobility, StationaryMobility
 from repro.mobility.waypoint import WaypointMobility
 from repro.sim.rng import RandomStreams
 from repro.util.geometry import Rect, Vec2

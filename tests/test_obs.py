@@ -1,31 +1,45 @@
-"""Unit tests for ``repro.obs``: spans, sampling, exporters, views.
+"""Unit tests for ``repro.obs``: spans, sampling, exporters, views,
+and the ``repro trace`` CLI over sim and serve traces.
 
-Everything here drives the tracer with a fake relative clock — no test
-sleeps, and every asserted duration is exact arithmetic on the fake
-clock's ticks.
+The tracer tests drive it with a fake relative clock — no test sleeps,
+and every asserted duration is exact arithmetic on the fake clock's
+ticks.
 """
 
+import asyncio
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cli import main
+from repro.core.config import CoCoAConfig
+from repro.core.team import CoCoATeam
 from repro.obs import (
     NULL_TRACER,
     OpsLog,
     RequestTracer,
-    SpanBuffer,
     TraceConfig,
     hop_table,
-    perfetto_trace_events,
-    read_trace_jsonl,
     render_slowest,
     render_summary,
     slowest_traces,
-    write_perfetto_json,
-    write_trace_jsonl,
 )
 from repro.obs.oplog import NULL_OPS_LOG
+from repro.serve import InProcessClient, ServeConfig, ServiceCore
 from repro.serve.protocol import FixRequest, WindowRequest
+from repro.telemetry import (
+    Span,
+    SpanBuffer,
+    SpanRecordError,
+    Telemetry,
+    perfetto_trace_events,
+    read_jsonl,
+    write_jsonl,
+    write_perfetto_json,
+)
 from repro.telemetry.registry import MetricsRegistry
 
 
@@ -211,11 +225,12 @@ class TestSpanBuffer:
         assert buffer.max_spans == 3
 
     def test_extend_and_clear(self):
-        buffer = SpanBuffer(max_spans=10)
+        buffer = SpanBuffer(max_spans=2)
         buffer.extend([1, 2, 3])
-        assert buffer.snapshot() == [1, 2, 3]
+        assert list(buffer) == [2, 3]
         buffer.clear()
         assert len(buffer) == 0
+        assert buffer.dropped == 1  # clear keeps the drop tally
 
     def test_tracer_buffer_evicts_oldest(self):
         tracer = make_tracer(max_spans=4)
@@ -248,12 +263,13 @@ class TestOpsLog:
         for index in range(6):
             ops.emit("tick", index=index)
         assert [record["index"] for record in ops.records()] == [3, 4, 5]
+        assert ops.dropped == 3
 
     def test_write_jsonl(self, tmp_path):
         ops = OpsLog(clock=FakeClock())
         ops.emit("tick", index=1)
         path = tmp_path / "ops.jsonl"
-        assert ops.write_jsonl(path) == 1
+        assert write_jsonl(path, ops.records()) == 1
         lines = path.read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "tick"
 
@@ -262,7 +278,7 @@ class TestOpsLog:
         assert NULL_OPS_LOG.records() == []
 
 
-def recorded_spans():
+def recorded_records():
     """A deterministic recording: two traces with distinct shapes."""
     clock = FakeClock()
     tracer = make_tracer(clock=clock)
@@ -286,12 +302,18 @@ def recorded_spans():
     return tracer.records()
 
 
+def recorded_spans():
+    """:func:`recorded_records`, parsed back into spans."""
+    return [Span.from_record(record) for record in recorded_records()]
+
+
 class TestExport:
     def test_jsonl_round_trip(self, tmp_path):
-        records = recorded_spans()
+        records = recorded_records()
         path = tmp_path / "trace.jsonl"
-        assert write_trace_jsonl(path, records) == len(records)
-        assert read_trace_jsonl(path) == records
+        assert write_jsonl(path, records) == len(records)
+        assert read_jsonl(path) == records
+        assert all(record["clock"] == "wall" for record in records)
 
     def test_perfetto_document_shape(self):
         document = perfetto_trace_events(recorded_spans())
@@ -309,11 +331,10 @@ class TestExport:
             assert event["args"]["trace"] in ("t-fast", "t-slow")
 
     def test_perfetto_skips_open_spans(self):
-        records = recorded_spans()
-        records.append({"trace": "t-open", "span": 9, "parent": None,
-                        "name": "request", "start_s": 0.0, "end_s": None,
-                        "attrs": {}})
-        document = perfetto_trace_events(records)
+        spans = recorded_spans()
+        spans.append(Span(9, "request", 0.0, trace_id="t-open",
+                          clock="wall"))
+        document = perfetto_trace_events(spans)
         names = {event["args"].get("trace")
                  for event in document["traceEvents"]
                  if event["ph"] == "X"}
@@ -357,3 +378,140 @@ class TestSummary:
         assert slowest.splitlines()[0].lstrip().startswith("1. t-slow")
         assert render_summary([]) == "no closed spans recorded"
         assert render_slowest([]) == "no closed spans recorded"
+
+
+def run_trace_cli(path, command="summarize", tmp_dir=None):
+    """``repro trace <command> path``; returns (exit code, output)."""
+    argv = ["trace", command, str(path)]
+    if command == "export":
+        argv += ["--out", str(tmp_dir / "out.perfetto.json")]
+    out = io.StringIO()
+    return main(argv, out=out), out.getvalue()
+
+
+class TestTraceCli:
+    """``repro trace`` exits 2 on input that is not trace JSONL, and
+    never with a traceback."""
+
+    def test_reads_a_serve_trace(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_jsonl(path, recorded_records())
+        code, text = run_trace_cli(path)
+        assert code == 0
+        assert "2 traces" in text
+
+    @pytest.mark.parametrize("line", [
+        '[1,2]',
+        '{"name":"x","start_s":0,"end_s":1}',
+        '{"end_s":2}',
+    ])
+    def test_non_span_line_exits_2(self, tmp_path, line):
+        with pytest.raises(SpanRecordError, match="not a span record"):
+            Span.from_record(json.loads(line))
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        for command in ("summarize", "slowest", "export"):
+            code, text = run_trace_cli(path, command, tmp_path)
+            assert code == 2
+            assert "not a span record" in text or "not trace JSONL" in text
+
+    def test_corrupt_line_exits_2(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_jsonl(path, recorded_records())
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("{half a line\n")
+        code, text = run_trace_cli(path)
+        assert code == 2
+        assert "1 line is not a JSON object" in text
+
+    def test_missing_file_exits_2(self, tmp_path):
+        code, text = run_trace_cli(tmp_path / "absent.jsonl")
+        assert code == 2
+        assert "cannot read" in text
+
+
+_json_leaf = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=6))
+_record_like = st.dictionaries(
+    st.sampled_from(["clock", "trace", "span", "parent", "name", "node",
+                     "start_s", "end_s", "attrs", "x"]),
+    st.recursive(_json_leaf,
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                 max_leaves=6),
+)
+_trace_lines = st.lists(
+    st.binary(max_size=40)
+    | _record_like.map(lambda record: json.dumps(record).encode()),
+    max_size=6,
+).map(b"\n".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(content=_trace_lines)
+def test_trace_cli_exits_0_or_2_on_any_bytes(tmp_path_factory, content):
+    tmp_dir = tmp_path_factory.mktemp("fuzz")
+    path = tmp_dir / "t.jsonl"
+    path.write_bytes(content)
+    for command in ("summarize", "slowest", "export"):
+        code, _ = run_trace_cli(path, command, tmp_dir)
+        assert code in (0, 2)
+
+
+def test_sim_and_serve_traces_share_one_exporter(tmp_path, pdf_table):
+    """A tiny team's sim spans and a traced service's wall spans go
+    through the same write_jsonl -> read_jsonl -> write_perfetto_json
+    path, landing on per-node and per-trace tracks respectively."""
+    config = CoCoAConfig(n_robots=8, n_anchors=4, beacon_period_s=20.0,
+                         duration_s=45.0, master_seed=3)
+    team = CoCoATeam(config, pdf_table=pdf_table,
+                     telemetry=Telemetry.enabled())
+    team.run()
+
+    async def serve():
+        core = ServiceCore(ServeConfig(n_shards=2, trace_mode="always"))
+        client = InProcessClient(core)
+        assert (await client.hello(
+            "t", calibration_samples=2000, area_side_m=80.0
+        )).ok
+        await client.window_open("t", 0)
+        for seq, (x, y, rssi) in enumerate(
+            [(10.0, 10.0, -60.0), (70.0, 10.0, -72.0), (40.0, 70.0, -68.0)]
+        ):
+            await client.observe("t", 0, seq=seq, x=x, y=y, rssi_dbm=rssi)
+        assert (await client.window_close("t", 0)).ok
+        await core.stop()
+        return core.tracer.records()
+
+    path = tmp_path / "both.jsonl"
+    write_jsonl(path, (s.as_record() for s in team.telemetry.tracer))
+    write_jsonl(path, asyncio.run(serve()), mode="a")
+    records = read_jsonl(path)
+    assert records.skipped == 0
+    spans = [Span.from_record(record) for record in records]
+    out = tmp_path / "both.perfetto.json"
+    assert write_perfetto_json(out, spans) == len(spans)
+
+    with open(out, encoding="utf-8") as handle:
+        events = json.load(handle)["traceEvents"]
+    processes = {event["pid"]: event["args"]["name"] for event in events
+                 if event["name"] == "process_name"}
+    tracks = {(event["pid"], event["tid"]): event["args"]["name"]
+              for event in events if event["name"] == "thread_name"}
+    names_by_track = {}
+    for event in events:
+        if event["ph"] == "X":
+            names_by_track.setdefault(
+                (event["pid"], event["tid"]), set()
+            ).add(event["name"])
+    sim_tracks = {key: names for key, names in names_by_track.items()
+                  if processes[key[0]] == "repro.sim"}
+    serve_tracks = {key: names for key, names in names_by_track.items()
+                    if processes[key[0]] == "repro.serve"}
+    assert all(tracks[key].startswith("node ") for key in sim_tracks)
+    assert all(tracks[key].startswith("trace ") for key in serve_tracks)
+    # Unknown robots own beacon rounds and hear beacons inside them.
+    assert any({"beacon_round", "beacon_rx"} <= names
+               for names in sim_tracks.values())
+    assert any({"request", "queue", "shard_service"} <= names
+               for names in serve_tracks.values())

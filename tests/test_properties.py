@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.bayes import GridBayesFilter
 from repro.core.clock import DriftingClock
 from repro.core.pdf_table import DistanceDistribution
-from repro.mobility.base import ScriptedMobility
 from repro.mobility.dead_reckoning import DeadReckoning
 from repro.mobility.odometry import OdometryReading
 from repro.multicast.lifetime import Kinematics, predict_link_lifetime

@@ -1,11 +1,10 @@
-"""Unit tests for PeriodicTimer, RandomStreams and TraceLog."""
+"""Unit tests for PeriodicTimer and RandomStreams."""
 
 import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import PeriodicTimer
-from repro.sim.trace import TraceLog
 
 
 class TestPeriodicTimer:
@@ -147,47 +146,3 @@ class TestRandomStreams:
         with pytest.raises(TypeError):
             RandomStreams("seed")
 
-
-class TestTraceLog:
-    def test_disabled_category_not_recorded(self):
-        log = TraceLog()
-        log.emit(1.0, "x", 1, foo="bar")
-        assert len(log) == 0
-
-    def test_enabled_category_recorded(self):
-        log = TraceLog(["x"])
-        log.emit(1.0, "x", 1, foo="bar")
-        assert log.count("x") == 1
-        record = log.records("x")[0]
-        assert record.time == 1.0
-        assert record.node == 1
-        assert record.details == {"foo": "bar"}
-
-    def test_enable_disable(self):
-        log = TraceLog()
-        log.enable("y")
-        assert log.enabled("y")
-        log.emit(0.0, "y")
-        log.disable("y")
-        log.emit(1.0, "y")
-        assert log.count("y") == 1
-
-    def test_records_filtering(self):
-        log = TraceLog(["a", "b"])
-        log.emit(0.0, "a")
-        log.emit(1.0, "b")
-        assert len(log.records()) == 2
-        assert len(log.records("a")) == 1
-
-    def test_clear_keeps_categories(self):
-        log = TraceLog(["a"])
-        log.emit(0.0, "a")
-        log.clear()
-        assert len(log) == 0
-        assert log.enabled("a")
-
-    def test_iteration(self):
-        log = TraceLog(["a"])
-        log.emit(0.0, "a")
-        log.emit(1.0, "a")
-        assert [r.time for r in log] == [0.0, 1.0]

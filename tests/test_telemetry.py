@@ -12,6 +12,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.seeds import run_seed_sweep
 from repro.core.config import CoCoAConfig
@@ -20,12 +22,13 @@ from repro.experiments.runner import run_scenario
 from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.executor import run_sweep
 from repro.orchestrator.jobs import seed_jobs
-from repro.sim.trace import TraceLog
 from repro.telemetry import (
     COUNT_EDGES,
     NULL_REGISTRY,
     Histogram,
     MetricsRegistry,
+    Span,
+    SpanRecordError,
     SpanTracer,
     Telemetry,
     TelemetrySnapshot,
@@ -35,9 +38,9 @@ from repro.telemetry import (
     read_jsonl,
     render_report,
     set_global_registry,
-    span_records,
     write_jsonl,
 )
+from repro.telemetry.spans import CLOCKS
 from repro.util.geometry import Rect
 
 
@@ -167,7 +170,7 @@ class TestSpanTracer:
         tracer = SpanTracer()
         span = tracer.event(5.0, "tick", node=None, rssi=-70)
         assert span.closed
-        assert span.start == span.end == 5.0
+        assert span.start_s == span.end_s == 5.0
         assert span.attrs == {"rssi": -70}
 
     def test_ring_buffer_drops_oldest(self):
@@ -196,49 +199,68 @@ class TestSpanTracer:
         tracer.event(1.0, "b")
         tracer.event(2.0, "a")
         assert tracer.count("a") == 2
-        assert [s.start for s in tracer.records("a")] == [0.0, 2.0]
+        assert [s.start_s for s in tracer.records("a")] == [0.0, 2.0]
+        # Unbounded by default: nothing is ever evicted.
+        assert tracer.max_records is None
+        assert tracer.dropped_count == 0
 
 
-class TestTraceLogFacade:
-    def test_only_enabled_categories_recorded(self):
-        log = TraceLog(categories=("mac",))
-        log.emit(1.0, "mac", node=2, kind="send")
-        log.emit(2.0, "phy", node=2)
-        assert len(log) == 1
-        record = log.records()[0]
-        assert record.time == 1.0
-        assert record.category == "mac"
-        assert record.node == 2
-        assert record.details == {"kind": "send"}
+_ids = st.integers(min_value=0, max_value=2**62)
+_seconds = st.floats(allow_nan=False)
+_attr_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), _seconds, st.text(max_size=8)
+)
 
-    def test_detail_keys_may_shadow_parameter_names(self):
-        # "node"/"parent" inside details must not collide with the
-        # tracer's own record_event parameters.
-        log = TraceLog(categories=("route",))
-        log.emit(1.0, "route", node=1, parent=7)
-        assert log.records()[0].details == {"parent": 7}
 
-    def test_ring_buffer_mode(self):
-        log = TraceLog(categories=("e",), max_records=2)
-        for t in range(4):
-            log.emit(float(t), "e")
-        assert log.max_records == 2
-        assert len(log) == 2
-        assert log.dropped_count == 2
-        assert [r.time for r in log] == [2.0, 3.0]
+@st.composite
+def any_span(draw):
+    """A sim span (node, no trace id) or a wall span (trace id, no node)."""
+    clock = draw(st.sampled_from(CLOCKS))
+    sim = clock == "sim"
+    span = Span(
+        draw(_ids),
+        draw(st.text(max_size=12)),
+        draw(_seconds),
+        node=draw(st.none() | _ids) if sim else None,
+        parent_id=draw(st.none() | _ids),
+        attrs=draw(st.dictionaries(st.text(max_size=6), _attr_values,
+                                   max_size=4)),
+        trace_id=None if sim else draw(st.text(max_size=12)),
+        clock=clock,
+    )
+    if draw(st.booleans()):
+        span.end_s = draw(_seconds)
+    return span
 
-    def test_unbounded_by_default(self):
-        log = TraceLog(categories=("e",))
-        assert log.max_records is None
-        for t in range(100):
-            log.emit(float(t), "e")
-        assert log.dropped_count == 0
-        assert log.count("e") == 100
 
-    def test_spans_visible_through_tracer_property(self):
-        log = TraceLog(categories=("sync",))
-        log.emit(3.0, "sync", node=4)
-        assert [s.name for s in log.tracer] == ["sync"]
+class TestSpanRecord:
+    @settings(max_examples=200, deadline=None)
+    @given(any_span())
+    def test_round_trip_through_json(self, span):
+        line = json.dumps(span.as_record(), sort_keys=True)
+        back = Span.from_record(json.loads(line))
+        assert back.as_record() == span.as_record()
+
+    def test_record_without_clock_reads_as_wall(self):
+        span = Span.from_record({"trace": "t", "span": 1, "parent": None,
+                                 "name": "request", "start_s": 0.0,
+                                 "end_s": 1.0, "attrs": {}})
+        assert span.clock == "wall"
+        assert span.duration_s == 1.0
+
+    @pytest.mark.parametrize("record", [
+        {"span": 1, "name": "x", "start_s": 0, "end_s": 1, "clock": "gps"},
+        {"span": 1.5, "name": "x", "start_s": 0, "end_s": 1},
+        {"span": 1, "name": 7, "start_s": 0, "end_s": 1},
+        {"span": 1, "name": "x", "start_s": "0", "end_s": 1},
+        {"span": 1, "name": "x", "start_s": 0, "end_s": 10**400},
+        {"span": 1, "name": "x", "start_s": 0, "end_s": 1, "node": "n"},
+        {"span": 1, "name": "x", "start_s": 0, "end_s": 1, "trace": 3},
+        {"span": 1, "name": "x", "start_s": 0, "end_s": 1, "attrs": []},
+    ])
+    def test_malformed_fields_rejected(self, record):
+        with pytest.raises(SpanRecordError, match="not a span record"):
+            Span.from_record(record)
 
 
 class TestSnapshot:
@@ -313,10 +335,10 @@ class TestExporters:
         parent = tracer.start_span("round", 1.0, node=1)
         tracer.end_span(parent, 2.0)
         tracer.event(1.5, "rx", node=2, parent=parent)
-        records = span_records(tracer)
+        records = [span.as_record() for span in tracer]
         assert len(records) == 2
-        assert all(r["record"] == "span" for r in records)
-        assert records[1]["parent_id"] == records[0]["span_id"]
+        assert all(r["clock"] == "sim" for r in records)
+        assert records[1]["parent"] == records[0]["span"]
         json.dumps(records)
 
 
